@@ -79,17 +79,26 @@ def decode_boxes(anchors: np.ndarray, deltas: np.ndarray, img_size: int | None =
     return out
 
 
+def pairwise_overlap(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intersection areas, shape (len(a), len(b)), and each side's box areas.
+
+    Extents are clipped at zero, so an inverted box has zero area.
+    """
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(-1, 4)
+    w = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    h = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.maximum(w, 0.0) * np.maximum(h, 0.0)
+
+    def area(x):
+        return np.maximum(x[:, 2] - x[:, 0], 0.0) * np.maximum(x[:, 3] - x[:, 1], 0.0)
+
+    return inter, area(a), area(b)
+
+
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU, shape (len(a), len(b))."""
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros((len(a), len(b)))
-    x0 = np.maximum(a[:, None, 0], b[None, :, 0])
-    y0 = np.maximum(a[:, None, 1], b[None, :, 1])
-    x1 = np.minimum(a[:, None, 2], b[None, :, 2])
-    y1 = np.minimum(a[:, None, 3], b[None, :, 3])
-    inter = np.clip(x1 - x0, 0, None) * np.clip(y1 - y0, 0, None)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    """Pairwise IoU, shape (len(a), len(b)); 0 where the union is empty."""
+    inter, area_a, area_b = pairwise_overlap(a, b)
     union = area_a[:, None] + area_b[None, :] - inter
     return np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
 

@@ -14,15 +14,12 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import dataset as ds
 from . import gaze as gz
 from . import metrics as mx
 from . import trainer as tr
 from .autodiff import NumericsError
 from .detector import (
-    DetectorModel,
     ModelConfig,
     load_checkpoint,
     predictions_from_json,
@@ -58,15 +55,24 @@ def _print_resolved(args, seed: int) -> None:
     print("resolved config:", json.dumps(resolved, default=str, sort_keys=True))
 
 
-def _model_config(args, seed: int, use_fixations: bool) -> ModelConfig:
+def _model_config(args, seed: int, use_fixations: bool, img_size: int) -> ModelConfig:
     return ModelConfig(
-        img_size=args.size,
+        img_size=img_size,
         use_fixations=use_fixations,
         fusion_mode=args.fusion,
         fusion_point=args.fusion_point,
         n_classes=5,
         seed=seed,
     )
+
+
+def _write_report(args, dets, readings, model_tag: str) -> None:
+    report = tr.report_from_detections(dets, readings, args.thresh, args.metric,
+                                       model_tag=model_tag)
+    os.makedirs(args.out, exist_ok=True)
+    mx.save_report(os.path.join(args.out, "report.json"),
+                   os.path.join(args.out, "report.md"), report)
+    print(report.to_markdown())
 
 
 def _load_split(args):
@@ -80,9 +86,7 @@ def _load_split(args):
 # subcommands
 
 
-def cmd_synth(args) -> int:
-    seed = _resolve_seed(args)
-    _print_resolved(args, seed)
+def cmd_synth(args, seed: int) -> int:
     if args.n <= 0:
         raise CliError("--n must be positive")
     try:
@@ -107,9 +111,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_fixations(args) -> int:
-    seed = _resolve_seed(args)
-    _print_resolved(args, seed)
+def cmd_fixations(args, seed: int) -> int:
     samples = gz.read_gaze_csv(args.gaze)
     if args.width and args.height:
         samples = gz.filter_gaze(samples, args.width, args.height, args.margin)
@@ -119,9 +121,7 @@ def cmd_fixations(args) -> int:
     return 0
 
 
-def cmd_heatmap(args) -> int:
-    seed = _resolve_seed(args)
-    _print_resolved(args, seed)
+def cmd_heatmap(args, seed: int) -> int:
     fixations = gz.read_fixation_csv(args.fixations)
     fmap = gz.render_heatmap(fixations, args.width, args.height, args.sigma,
                              weighting=args.weighting)
@@ -135,14 +135,11 @@ def cmd_heatmap(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    seed = _resolve_seed(args)
-    _print_resolved(args, seed)
+def cmd_train(args, seed: int) -> int:
     train_r, val_r, _ = _load_split(args)
     if not train_r:
         raise CliError("dataset has no train split")
-    model_cfg = _model_config(args, seed, use_fixations=args.fixations)
-    model_cfg = ModelConfig(**{**vars(model_cfg), "img_size": train_r[0].width})
+    model_cfg = _model_config(args, seed, args.fixations, train_r[0].width)
     train_cfg = tr.TrainConfig(epochs=args.epochs, lr=args.lr,
                                momentum=args.momentum, seed=seed)
     tr.train(model_cfg, train_r, val_r, train_cfg, args.out, log=print)
@@ -150,9 +147,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    seed = _resolve_seed(args)
-    _print_resolved(args, seed)
+def cmd_eval(args, seed: int) -> int:
     readings = ds.load_dataset(args.dataset, args.split)
     if not readings:
         raise CliError(f"dataset split {args.split!r} is empty")
@@ -160,25 +155,17 @@ def cmd_eval(args) -> int:
     dets = tr.infer_dataset(model, readings)
     os.makedirs(args.out, exist_ok=True)
     save_predictions(os.path.join(args.out, "predictions.json"), dets)
-    report = tr.report_from_detections(dets, readings, args.thresh, args.metric,
-                                       model_tag=os.path.basename(args.checkpoint))
-    mx.save_report(os.path.join(args.out, "report.json"),
-                   os.path.join(args.out, "report.md"), report)
-    print(report.to_markdown())
+    _write_report(args, dets, readings, os.path.basename(args.checkpoint))
     return 0
 
 
-def cmd_compare(args) -> int:
-    seed = _resolve_seed(args)
-    _print_resolved(args, seed)
+def cmd_compare(args, seed: int) -> int:
     train_r, val_r, test_r = _load_split(args)
     if not train_r or not test_r:
         raise CliError("compare needs non-empty train and test splits")
     img_size = train_r[0].width
-    base = _model_config(args, seed, use_fixations=False)
-    multi = _model_config(args, seed, use_fixations=True)
-    base = ModelConfig(**{**vars(base), "img_size": img_size})
-    multi = ModelConfig(**{**vars(multi), "img_size": img_size})
+    base = _model_config(args, seed, False, img_size)
+    multi = _model_config(args, seed, True, img_size)
     train_cfg = tr.TrainConfig(epochs=args.epochs, lr=args.lr,
                                momentum=args.momentum, seed=seed)
     reports = tr.run_comparison(
@@ -190,9 +177,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    seed = _resolve_seed(args)
-    _print_resolved(args, seed)
+def cmd_gradcheck(args, seed: int) -> int:
     results = run_gradcheck_suite(n_seeds=args.seeds, base_seed=seed,
                                   include_end_to_end=not args.skip_e2e,
                                   log=print)
@@ -202,20 +187,13 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 2
 
 
-def cmd_report(args) -> int:
-    seed = _resolve_seed(args)
-    _print_resolved(args, seed)
+def cmd_report(args, seed: int) -> int:
     with open(args.predictions) as fh:
         dets = predictions_from_json(json.load(fh))
     readings = ds.load_dataset(args.dataset, args.split)
     if not readings:
         raise CliError(f"dataset split {args.split!r} is empty")
-    report = tr.report_from_detections(dets, readings, args.thresh, args.metric,
-                                       model_tag=os.path.basename(args.predictions))
-    os.makedirs(args.out, exist_ok=True)
-    mx.save_report(os.path.join(args.out, "report.json"),
-                   os.path.join(args.out, "report.md"), report)
-    print(report.to_markdown())
+    _write_report(args, dets, readings, os.path.basename(args.predictions))
     return 0
 
 
@@ -354,7 +332,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _apply_config_file(parser, argv)
-        return args.func(args)
+        seed = _resolve_seed(args)
+        _print_resolved(args, seed)
+        return args.func(args, seed)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

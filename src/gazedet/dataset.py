@@ -219,15 +219,6 @@ def load_dataset(root: str, split: str | None = None) -> list[Reading]:
     return readings
 
 
-def dataset_splits(root: str) -> dict[str, list[str]]:
-    with open(os.path.join(root, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    out: dict[str, list[str]] = {}
-    for entry in manifest["readings"]:
-        out.setdefault(entry.get("split", "train"), []).append(entry["id"])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # synthetic generation
 

@@ -17,7 +17,6 @@ on the ground-truth class channel only.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -111,19 +110,34 @@ class DetectorOutput:
     rpn_obj: Tensor  # (n_anchors,)
     rpn_deltas: Tensor  # (n_anchors, 4)
     proposals: np.ndarray  # (R, 4)
-    n_rpn_proposals: int  # proposals before any appended gt boxes
     cls_logits: Tensor | None  # (R, n_classes + 1)
     box_deltas: Tensor | None  # (R, 4)
     mask_logits: Tensor | None  # (R, n_classes, roi, roi)
     detections: list[Detection] | None = None
 
 
-def roi_align(feat: Tensor, rois: np.ndarray, stride: int, out_size: int,
-              sampling: int = 2) -> Tensor:
-    """Bilinear ROI pooling: each cell averages a sampling x sampling grid.
+ROI_SAMPLING = 2  # bilinear sample points per output cell along each axis
+
+
+def _roi_axis_weights(lo: np.ndarray, hi: np.ndarray, extent: int, out_size: int) -> np.ndarray:
+    """(r, out_size, extent) bilinear weights along one axis, averaged per cell."""
+    frac = (np.arange(out_size * ROI_SAMPLING) + 0.5) / ROI_SAMPLING / out_size
+    coord = lo[:, None] + frac[None, :] * (hi - lo)[:, None]
+    u = np.clip(coord - 0.5, 0.0, extent - 1.0)
+    i0 = np.floor(u).astype(np.intp)
+    i1 = np.minimum(i0 + 1, extent - 1)
+    w1 = (u - i0)[..., None]
+    pix = np.arange(extent)
+    w = (i0[..., None] == pix) * (1.0 - w1) + (i1[..., None] == pix) * w1
+    return w.reshape(len(lo), out_size, ROI_SAMPLING, extent).mean(axis=2)
+
+
+def roi_align(feat: Tensor, rois: np.ndarray, stride: int, out_size: int) -> Tensor:
+    """Bilinear ROI pooling: each cell averages a ROI_SAMPLING^2 grid of samples.
 
     Boxes are image-coordinate (x0, y0, x1, y1); feature pixel centers sit
-    at integer-plus-half coordinates in feature units.
+    at integer-plus-half coordinates in feature units. Bilinear sampling is
+    separable, so ROI r pools channel c as ``Ay[r] @ F[c] @ Ax[r].T``.
     """
     if out_size < 1:
         raise ValueError("out_size must be >= 1")
@@ -138,41 +152,20 @@ def roi_align(feat: Tensor, rois: np.ndarray, stride: int, out_size: int,
         raise ValueError("roi_align given a degenerate (zero-area) box")
 
     b = rois / stride
-    os_ = out_size * sampling
-    # per-axis sample coordinates, (r, out*sampling)
-    frac = (np.arange(os_) + 0.5) / sampling / out_size
-    xs = b[:, 0:1] + frac[None, :] * (b[:, 2:3] - b[:, 0:1])
-    ys = b[:, 1:2] + frac[None, :] * (b[:, 3:4] - b[:, 1:2])
-
-    def axis_interp(coord, extent):
-        u = np.clip(coord - 0.5, 0.0, extent - 1.0)
-        i0 = np.minimum(np.floor(u).astype(np.intp), extent - 1)
-        i1 = np.minimum(i0 + 1, extent - 1)
-        w1 = u - i0
-        return i0, i1, 1.0 - w1, w1
-
-    y0, y1, wy0, wy1 = axis_interp(ys, fh)
-    x0, x1, wx0, wx1 = axis_interp(xs, fw)
-
-    # dense sampling matrix: (r*os*os, fh*fw); rebuilt per call, reused by backward
-    m = np.zeros((r * os_ * os_, fh * fw))
-    rows = np.arange(r * os_ * os_).reshape(r, os_, os_)
-    for yi, wy in ((y0, wy0), (y1, wy1)):
-        for xi, wx in ((x0, wx0), (x1, wx1)):
-            lin = yi[:, :, None] * fw + xi[:, None, :]
-            np.add.at(m, (rows, lin), wy[:, :, None] * wx[:, None, :])
-
-    feat2d = feat.data[0].reshape(c, fh * fw)
-    samp = (feat2d @ m.T).reshape(c, r, out_size, sampling, out_size, sampling)
-    out_data = samp.mean(axis=(3, 5)).transpose(1, 0, 2, 3)
+    ay = _roi_axis_weights(b[:, 1], b[:, 3], fh, out_size).reshape(r * out_size, fh)
+    ax = _roi_axis_weights(b[:, 0], b[:, 2], fw, out_size)  # (r, out, fw)
+    # Ay F for all ROIs as one GEMM, then each ROI's rows through its own Ax^T
+    ay_f = ay @ feat.data[0].transpose(1, 0, 2).reshape(fh, c * fw)
+    out_data = ay_f.reshape(r, out_size * c, fw) @ ax.transpose(0, 2, 1)
 
     def backward(g):
         if not feat.tracked:
             return
-        gexp = np.repeat(np.repeat(g, sampling, axis=2), sampling, axis=3)
-        gexp = gexp.transpose(1, 0, 2, 3).reshape(c, r * os_ * os_) / (sampling * sampling)
-        feat.accumulate_grad((gexp @ m).reshape(1, c, fh, fw))
+        g_ax = g.transpose(0, 2, 1, 3).reshape(r, out_size * c, out_size) @ ax
+        grad = ay.T @ g_ax.reshape(r * out_size, c * fw)
+        feat.accumulate_grad(grad.reshape(fh, c, fw).transpose(1, 0, 2)[None])
 
+    out_data = out_data.reshape(r, out_size, c, out_size).transpose(0, 2, 1, 3)
     return ad._node(out_data, (feat,), backward, "roi_align output")
 
 
@@ -301,13 +294,12 @@ class DetectorModel:
         )
 
         proposals = self._select_proposals(rpn_obj.data, rpn_deltas.data)
-        n_rpn = len(proposals)
         if mode == "train" and gt_boxes is not None and len(gt_boxes):
             proposals = np.concatenate([proposals, np.asarray(gt_boxes, dtype=np.float64)])
 
         if len(proposals) == 0:
             return DetectorOutput(feat, self._anchors, rpn_obj, rpn_deltas,
-                                  proposals, 0, None, None, None,
+                                  proposals, None, None, None,
                                   [] if mode == "infer" else None)
 
         pooled = roi_align(feat, proposals, cfg.feat_stride, cfg.roi_size)
@@ -319,7 +311,7 @@ class DetectorModel:
         mask_logits = ad.conv2d(m, self.params["mask_out"])
 
         out = DetectorOutput(feat, self._anchors, rpn_obj, rpn_deltas, proposals,
-                             n_rpn, cls_logits, box_deltas, mask_logits)
+                             cls_logits, box_deltas, mask_logits)
         if mode == "infer":
             out.detections = self._postprocess(out)
         return out
@@ -508,6 +500,9 @@ def load_checkpoint(path: str) -> DetectorModel:
     for key in ("anchor_scales", "anchor_ratios", "channels"):
         cfg_dict[key] = tuple(cfg_dict[key])
     model = DetectorModel(ModelConfig(**cfg_dict))
+    missing = sorted(set(model.params) - set(payload["params"]))
+    if missing:
+        raise ValueError(f"{path}: missing layers {missing}")
     for name, entry in payload["params"].items():
         if name not in model.params:
             raise ValueError(f"{path}: unexpected layer {name!r}")

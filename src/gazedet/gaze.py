@@ -141,7 +141,8 @@ def render_heatmap(
     """Gaussian-sum fixation map, divided by its max so the peak is 1.
 
     raw(x, y) = sum_f w_f * exp(-((x-cx)^2 + (y-cy)^2) / (2 sigma^2)),
-    w_f = duration_ms in "duration" mode, 1 in "uniform" mode.
+    w_f = duration_ms in "duration" mode, 1 in "uniform" mode. A map with zero
+    total weight (zero durations, or fixations far off the image) stays all-zero.
     """
     if width <= 0 or height <= 0:
         raise ValueError(f"non-positive heatmap dimensions ({width}, {height})")
@@ -150,15 +151,15 @@ def render_heatmap(
     if weighting not in ("duration", "uniform"):
         raise ValueError(f"unknown weighting {weighting!r}")
     grid = np.zeros((height, width), dtype=np.float64)
-    if not fixations:
-        return FixationMap(width, height, grid)
     ys = np.arange(height, dtype=np.float64)[:, None]
     xs = np.arange(width, dtype=np.float64)[None, :]
     inv = 1.0 / (2.0 * sigma_px * sigma_px)
     for f in fixations:
         w = f.duration_ms if weighting == "duration" else 1.0
         grid += w * np.exp(-((xs - f.cx_px) ** 2 + (ys - f.cy_px) ** 2) * inv)
-    grid /= grid.max()
+    peak = grid.max()
+    if peak > 0:
+        grid /= peak
     return FixationMap(width, height, grid)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import boxes as bx
 from .dataset import ClassLabel, REPORT_CLASS_TITLES
 from .gaze import _atomic_write_text
 
@@ -26,38 +27,34 @@ AP_HEADER_TEMPLATE = "AP@[{kind}={thresh:.2f}]"
 AR_HEADER_TEMPLATE = "AR@[{kind}={thresh:.2f}]"
 
 
-def _box_area(box) -> float:
-    return max(0.0, box[2] - box[0]) * max(0.0, box[3] - box[1])
-
-
-def _intersection(a, b) -> float:
-    w = min(a[2], b[2]) - max(a[0], b[0])
-    h = min(a[3], b[3]) - max(a[1], b[1])
-    return max(0.0, w) * max(0.0, h)
-
-
-def iobb(pred, gt) -> float:
-    """Intersection over the detected (predicted) box area."""
-    pa = _box_area(pred)
-    if pa <= 0:
-        raise ValueError(f"zero-area predicted box {tuple(pred)}")
-    return _intersection(pred, gt) / pa
-
-
-def iou(a, b) -> float:
-    inter = _intersection(a, b)
-    union = _box_area(a) + _box_area(b) - inter
-    if union <= 0:
+def overlap_matrix(preds, gts, kind: str) -> np.ndarray:
+    """Pairwise overlap of predicted boxes (rows) with ground-truth boxes (columns)."""
+    if kind not in ("iobb", "iou"):
+        raise ValueError(f"unknown overlap kind {kind!r}")
+    preds = np.asarray(preds, dtype=np.float64).reshape(-1, 4)
+    inter, pred_area, gt_area = bx.pairwise_overlap(preds, gts)
+    if kind == "iobb":
+        if np.any(pred_area <= 0):
+            bad = preds[np.argmax(pred_area <= 0)]
+            raise ValueError(f"zero-area predicted box {tuple(bad.tolist())}")
+        return inter / pred_area[:, None]
+    union = pred_area[:, None] + gt_area[None, :] - inter
+    if np.any(union <= 0):
         raise ValueError("iou undefined for two zero-area boxes")
     return inter / union
 
 
 def overlap(pred, gt, kind: str) -> float:
-    if kind == "iobb":
-        return iobb(pred, gt)
-    if kind == "iou":
-        return iou(pred, gt)
-    raise ValueError(f"unknown overlap kind {kind!r}")
+    return float(overlap_matrix(pred, gt, kind)[0, 0])
+
+
+def iobb(pred, gt) -> float:
+    """Intersection over the detected (predicted) box area."""
+    return overlap(pred, gt, "iobb")
+
+
+def iou(a, b) -> float:
+    return overlap(a, b, "iou")
 
 
 @dataclass
@@ -75,23 +72,25 @@ def _rank_order(dets) -> np.ndarray:
 
 
 def match_detections(dets, gts, thresh: float, kind: str = "iobb") -> MatchResult:
-    """Greedy matching; each detection takes the best still-unmatched gt."""
+    """Greedy matching; each detection takes the best still-unmatched gt.
+
+    Among unmatched gts with overlap >= thresh the first maximum wins, and
+    only a strictly positive overlap matches (even at threshold 0).
+    """
     order = _rank_order(dets)
     gt_matched = np.zeros(len(gts), dtype=bool)
     is_tp = np.zeros(len(dets), dtype=bool)
     matched_gt = np.full(len(dets), -1, dtype=np.int64)
-    for rank, di in enumerate(order):
-        best_ov, best_g = 0.0, -1
-        for g, gt in enumerate(gts):
-            if gt_matched[g]:
-                continue
-            ov = overlap(dets[di].box, gt.xyxy, kind)
-            if ov >= thresh and ov > best_ov:
-                best_ov, best_g = ov, g
-        if best_g >= 0:
-            gt_matched[best_g] = True
-            is_tp[rank] = True
-            matched_gt[rank] = best_g
+    if len(dets) and len(gts):
+        ov = overlap_matrix([d.box for d in dets], [g.xyxy for g in gts], kind)
+        ov = np.where(ov >= thresh, ov, 0.0)
+        for rank, di in enumerate(order):
+            row = np.where(gt_matched, 0.0, ov[di])
+            g = int(np.argmax(row))
+            if row[g] > 0:
+                gt_matched[g] = True
+                is_tp[rank] = True
+                matched_gt[rank] = g
     return MatchResult(is_tp, matched_gt, gt_matched, order)
 
 
@@ -158,17 +157,15 @@ class MetricsReport:
     metadata: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
+    def _header(self, template: str) -> str:
+        kind = self.metadata.get("metric_kind", "iobb").replace("iobb", "IoBB").replace("iou", "IoU")
+        return template.format(kind=kind, thresh=self.metadata.get("threshold", 0.5))
+
     def ap_header(self) -> str:
-        return AP_HEADER_TEMPLATE.format(
-            kind=self.metadata.get("metric_kind", "iobb").replace("iobb", "IoBB").replace("iou", "IoU"),
-            thresh=self.metadata.get("threshold", 0.5),
-        )
+        return self._header(AP_HEADER_TEMPLATE)
 
     def ar_header(self) -> str:
-        return AR_HEADER_TEMPLATE.format(
-            kind=self.metadata.get("metric_kind", "iobb").replace("iobb", "IoBB").replace("iou", "IoU"),
-            thresh=self.metadata.get("threshold", 0.5),
-        )
+        return self._header(AR_HEADER_TEMPLATE)
 
     def to_dict(self) -> dict:
         return {

@@ -39,7 +39,6 @@ class TrainConfig:
     momentum: float = 0.9
     seed: int = 0
     log_every: int = 50
-    early_stop_patience: int | None = None
 
     def __post_init__(self):
         if self.epochs < 1:

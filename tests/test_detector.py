@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,49 @@ class TestRoiAlign:
             lambda f: ad.tensor_sum(dt.roi_align(f, rois, stride=4, out_size=2)), [feat]
         )
         assert err < 1e-5
+
+    @pytest.mark.parametrize("seed,fh,fw,out_size", [
+        (0, 5, 7, 3), (1, 8, 8, 7), (2, 6, 3, 2), (3, 4, 9, 1),
+    ])
+    def test_matches_per_sample_reference(self, seed, fh, fw, out_size):
+        rng = np.random.default_rng(seed)
+        stride, c = 4, 3
+        fmap = rng.normal(size=(c, fh, fw))
+        # corners up to two cells past each edge, so samples clamp at the
+        # first and last row and column
+        lo = rng.uniform(-8.0, [fw * stride, fh * stride], size=(12, 2))
+        rois = np.concatenate([lo, lo + rng.uniform(0.5, 24.0, size=(12, 2))], axis=1)
+        rois = np.vstack([rois, [[-8.0, -8.0, fw * stride + 8.0, fh * stride + 8.0]]])
+        g = rng.normal(size=(len(rois), c, out_size, out_size))
+
+        # every (roi, cell, feature pixel, weight) term of 2x2 per-cell sampling
+        terms = []
+        for r, (x0, y0, x1, y1) in enumerate(rois / stride):
+            for oy in range(out_size):
+                for ox in range(out_size):
+                    for sy in (0.25, 0.75):
+                        for sx in (0.25, 0.75):
+                            y = y0 + (oy + sy) / out_size * (y1 - y0)
+                            x = x0 + (ox + sx) / out_size * (x1 - x0)
+                            uy = min(max(y - 0.5, 0.0), fh - 1.0)
+                            ux = min(max(x - 0.5, 0.0), fw - 1.0)
+                            iy, ix = int(np.floor(uy)), int(np.floor(ux))
+                            fy, fx = uy - iy, ux - ix
+                            iy1, ix1 = min(iy + 1, fh - 1), min(ix + 1, fw - 1)
+                            for yy, wy in ((iy, 1 - fy), (iy1, fy)):
+                                for xx, wx in ((ix, 1 - fx), (ix1, fx)):
+                                    terms.append((r, oy, ox, yy, xx, wy * wx / 4))
+        want_out = np.zeros_like(g)
+        want_grad = np.zeros_like(fmap)
+        for r, oy, ox, yy, xx, w in terms:
+            want_out[r, :, oy, ox] += w * fmap[:, yy, xx]
+            want_grad[:, yy, xx] += w * g[r, :, oy, ox]
+
+        feat = Tensor(fmap[None], requires_grad=True)
+        out = dt.roi_align(feat, rois, stride=stride, out_size=out_size)
+        ad.tensor_sum(ad.elementwise_combine(out, Tensor(g), "mul")).backward()
+        assert np.max(np.abs(out.data - want_out)) <= 1e-12
+        assert np.max(np.abs(feat.grad[0] - want_grad)) <= 1e-12
 
     def test_degenerate_box_errors(self):
         feat = Tensor(np.zeros((1, 1, 4, 4)))
@@ -258,6 +303,16 @@ class TestCheckpoint:
         for name, p in model.params.items():
             assert np.array_equal(p.weights.data, back.params[name].weights.data)
             assert np.array_equal(p.bias.data, back.params[name].bias.data)
+
+    def test_rejects_missing_layer(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        dt.save_checkpoint(str(path), DetectorModel(ModelConfig()))
+        payload = json.loads(path.read_text())
+        del payload["params"]["fc1"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="fc1") as info:
+            dt.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"

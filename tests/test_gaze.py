@@ -175,6 +175,15 @@ class TestRenderHeatmap:
         with pytest.raises(ValueError):
             gz.render_heatmap([], 0, 10, sigma_px=5.0)
 
+    @pytest.mark.parametrize("fix", [
+        Fixation(10, 10, 100.0, 100.0),  # zero duration
+        Fixation(5000, 5000, 0.0, 100.0),  # far off the image
+    ])
+    def test_zero_total_weight_gives_zero_map(self, fix):
+        fmap = gz.render_heatmap([fix], 64, 64, 3.0)
+        assert np.all(np.isfinite(fmap.values))
+        assert np.all(fmap.values == 0.0)
+
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=100, deadline=None)
     def test_map_invariants(self, seed):

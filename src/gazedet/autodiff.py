@@ -207,12 +207,13 @@ def conv2d(x: Tensor, params: LayerParams, stride: int = 1, pad: int = 0) -> Ten
     out_data = y.transpose(0, 2, 1).reshape(n, f, ho, wo)
 
     def backward(g):
-        g2 = g.reshape(n, f, ho * wo).transpose(0, 2, 1)  # (n, L, f)
         if w.tracked:
-            w.accumulate_grad(np.einsum("nlf,nlk->fk", g2, cols).reshape(w.data.shape))
+            gw = g.transpose(1, 0, 2, 3).reshape(f, -1) @ cols.reshape(-1, c * kh * kw)
+            w.accumulate_grad(gw.reshape(w.data.shape))
         if b.tracked:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if x.tracked:
+            g2 = g.reshape(n, f, ho * wo).transpose(0, 2, 1)  # (n, L, f)
             dcols = (g2 @ wmat).reshape(n, ho, wo, c, kh, kw)
             hp, wp = h + 2 * pad, wid + 2 * pad
             dxp = np.zeros((n, c, hp, wp))

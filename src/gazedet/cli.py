@@ -210,7 +210,6 @@ def _add_model_flags(p):
     p.add_argument("--fusion", choices=("sum", "mul"), default="sum")
     p.add_argument("--fusion-point", dest="fusion_point",
                    choices=("input", "feature"), default="feature")
-    p.add_argument("--size", type=int, default=64)
 
 
 def _add_train_flags(p):

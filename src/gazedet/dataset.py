@@ -26,6 +26,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import gaze as gz
+from .fileio import atomic_write_text
 
 
 class ClassLabel(IntEnum):
@@ -185,7 +186,7 @@ def save_reading(root: str, reading: Reading) -> str:
         {"cx": a.cx, "cy": a.cy, "rx": a.rx, "ry": a.ry, "label": CLASS_NAMES[a.label]}
         for a in reading.annotations
     ]
-    gz._atomic_write_text(os.path.join(rdir, "annotations.json"), json.dumps(ann, indent=1) + "\n")
+    atomic_write_text(os.path.join(rdir, "annotations.json"), json.dumps(ann, indent=1) + "\n")
     gz.write_gaze_csv(os.path.join(rdir, "gaze.csv"), reading.gaze)
     if reading.fixations is not None:
         gz.write_fixation_csv(os.path.join(rdir, "fixations.csv"), reading.fixations)
@@ -202,7 +203,7 @@ def save_dataset(root: str, readings: list[Reading], splits: dict[str, str] | No
             {"id": r.id, "split": (splits or {}).get(r.id, "train")} for r in readings
         ]
     }
-    gz._atomic_write_text(
+    atomic_write_text(
         os.path.join(root, "manifest.json"), json.dumps(manifest, indent=1) + "\n"
     )
 

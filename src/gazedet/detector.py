@@ -25,7 +25,8 @@ from . import autodiff as ad
 from . import boxes as bx
 from .autodiff import LayerParams, Tensor
 from .dataset import ClassLabel, CLASS_NAMES, NAME_TO_CLASS, TargetBox
-from .gaze import FixationMap, _atomic_write_text
+from .fileio import atomic_write_text
+from .gaze import FixationMap
 
 CHECKPOINT_FORMAT = "gazedet-checkpoint-v1"
 
@@ -488,7 +489,7 @@ def save_checkpoint(path: str, model: DetectorModel) -> None:
             for name, p in sorted(model.params.items())
         },
     }
-    _atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str) -> DetectorModel:
@@ -543,4 +544,4 @@ def predictions_from_json(rows: list[dict], roi_size: int = 7) -> dict[str, list
 
 
 def save_predictions(path: str, dets_by_reading: dict[str, list[Detection]]) -> None:
-    _atomic_write_text(path, json.dumps(predictions_to_json(dets_by_reading)) + "\n")
+    atomic_write_text(path, json.dumps(predictions_to_json(dets_by_reading)) + "\n")

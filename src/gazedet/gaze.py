@@ -8,17 +8,21 @@ raising the duration threshold can only drop fixations, never create them.
 
 Heatmaps aggregate all fixations of a reading into one static map: an
 isotropic Gaussian per fixation, weighted by dwell time by default, then
-divided by the maximum so the peak is exactly 1.
+divided by the maximum so the peak is exactly 1. The isotropic Gaussian is
+separable, exp(-(dx^2 + dy^2) / (2 sigma^2)) = exp(-dx^2 / ...) * exp(-dy^2 / ...),
+so the weighted sum over K fixations is one (H, K) @ (K, W) product of
+per-axis factors rather than K full-grid evaluations.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fileio import atomic_write_bytes, atomic_write_text
 
 DEFAULT_DISPERSION_PX = 25.0  # at 512-px image width
 DEFAULT_MIN_DURATION_MS = 100.0
@@ -29,7 +33,7 @@ GAZE_CSV_HEADER = ["t_ms", "x_px", "y_px", "pupil_mm", "valid"]
 FIXATION_CSV_HEADER = ["cx_px", "cy_px", "start_ms", "end_ms"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GazeSample:
     t_ms: float
     x_px: float
@@ -38,7 +42,7 @@ class GazeSample:
     valid: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fixation:
     cx_px: float
     cy_px: float
@@ -141,8 +145,11 @@ def render_heatmap(
     """Gaussian-sum fixation map, divided by its max so the peak is 1.
 
     raw(x, y) = sum_f w_f * exp(-((x-cx)^2 + (y-cy)^2) / (2 sigma^2)),
-    w_f = duration_ms in "duration" mode, 1 in "uniform" mode. A map with zero
-    total weight (zero durations, or fixations far off the image) stays all-zero.
+    w_f = duration_ms in "duration" mode, 1 in "uniform" mode. The Gaussian
+    factors into gx[f, x] = exp(-(x-cx)^2 / (2 sigma^2)) and the same gy[f, y],
+    so raw = (gy^T * w) @ gx: one exp per axis and one GEMM over fixations. A
+    map with zero total weight (zero durations, or fixations far off the
+    image) stays all-zero.
     """
     if width <= 0 or height <= 0:
         raise ValueError(f"non-positive heatmap dimensions ({width}, {height})")
@@ -150,13 +157,14 @@ def render_heatmap(
         raise ValueError("sigma_px must be positive")
     if weighting not in ("duration", "uniform"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    grid = np.zeros((height, width), dtype=np.float64)
-    ys = np.arange(height, dtype=np.float64)[:, None]
-    xs = np.arange(width, dtype=np.float64)[None, :]
     inv = 1.0 / (2.0 * sigma_px * sigma_px)
-    for f in fixations:
-        w = f.duration_ms if weighting == "duration" else 1.0
-        grid += w * np.exp(-((xs - f.cx_px) ** 2 + (ys - f.cy_px) ** 2) * inv)
+    cx = np.array([f.cx_px for f in fixations], dtype=np.float64)[:, None]
+    cy = np.array([f.cy_px for f in fixations], dtype=np.float64)[:, None]
+    w = np.array([f.duration_ms if weighting == "duration" else 1.0 for f in fixations],
+                 dtype=np.float64)
+    gx = np.exp(-((np.arange(width, dtype=np.float64) - cx) ** 2) * inv)  # (K, W)
+    gy = np.exp(-((np.arange(height, dtype=np.float64) - cy) ** 2) * inv)  # (K, H)
+    grid = (gy.T * w) @ gx
     peak = grid.max()
     if peak > 0:
         grid /= peak
@@ -170,17 +178,6 @@ def binarize(fmap: FixationMap, threshold: float) -> FixationMap:
 
 # ---------------------------------------------------------------------------
 # file formats
-
-
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
-
-
-def _atomic_write_text(path: str, payload: str) -> None:
-    _atomic_write_bytes(path, payload.encode())
 
 
 def read_gaze_csv(path: str) -> list[GazeSample]:
@@ -217,7 +214,7 @@ def write_gaze_csv(path: str, samples: list[GazeSample]) -> None:
     for s in samples:
         pupil = repr(s.pupil_mm) if s.pupil_mm is not None else ""
         lines.append(f"{s.t_ms!r},{s.x_px!r},{s.y_px!r},{pupil},{1 if s.valid else 0}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_fixation_csv(path: str) -> list[Fixation]:
@@ -244,7 +241,7 @@ def write_fixation_csv(path: str, fixations: list[Fixation]) -> None:
     lines = [",".join(FIXATION_CSV_HEADER)]
     for f in fixations:
         lines.append(f"{f.cx_px!r},{f.cy_px!r},{f.start_ms!r},{f.end_ms!r}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_pgm(path: str, values: np.ndarray) -> None:
@@ -254,7 +251,7 @@ def write_pgm(path: str, values: np.ndarray) -> None:
         raise ValueError("PGM values must lie in [0, 1]")
     h, w = v.shape
     body = np.round(v * 255.0).astype(np.uint8).tobytes()
-    _atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode() + body)
+    atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode() + body)
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -280,7 +277,8 @@ def read_pgm(path: str) -> np.ndarray:
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
     pos += 1
-    body = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
+    _check_body_length(path, len(raw) - pos, w * h)
+    body = np.frombuffer(raw, dtype=np.uint8, offset=pos)
     return body.reshape(h, w).astype(np.float64) / 255.0
 
 
@@ -288,7 +286,7 @@ def write_float_map(path: str, values: np.ndarray) -> None:
     """Raw float64 sidecar for exact heatmap round-trips."""
     v = np.ascontiguousarray(values, dtype=np.float64)
     h, w = v.shape
-    _atomic_write_bytes(path, f"GFMAP {w} {h}\n".encode() + v.tobytes())
+    atomic_write_bytes(path, f"GFMAP {w} {h}\n".encode() + v.tobytes())
 
 
 def read_float_map(path: str) -> np.ndarray:
@@ -297,4 +295,12 @@ def read_float_map(path: str) -> np.ndarray:
         tag, w, h = header.split()
         if tag != b"GFMAP":
             raise ValueError(f"{path}: not a float map")
-        return np.frombuffer(fh.read(), dtype=np.float64).reshape(int(h), int(w)).copy()
+        body = fh.read()
+    w, h = int(w), int(h)
+    _check_body_length(path, len(body), 8 * w * h)
+    return np.frombuffer(body, dtype=np.float64).reshape(h, w).copy()
+
+
+def _check_body_length(path: str, actual: int, expected: int) -> None:
+    if actual != expected:
+        raise ValueError(f"{path}: expected {expected} body bytes, got {actual}")

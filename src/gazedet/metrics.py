@@ -21,7 +21,7 @@ import numpy as np
 
 from . import boxes as bx
 from .dataset import ClassLabel, REPORT_CLASS_TITLES
-from .gaze import _atomic_write_text
+from .fileio import atomic_write_text
 
 AP_HEADER_TEMPLATE = "AP@[{kind}={thresh:.2f}]"
 AR_HEADER_TEMPLATE = "AR@[{kind}={thresh:.2f}]"
@@ -276,5 +276,5 @@ def evaluate_detections(dets_by_class: dict[ClassLabel, list],
 
 
 def save_report(path_json: str, path_md: str, report: MetricsReport) -> None:
-    _atomic_write_text(path_json, json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
-    _atomic_write_text(path_md, report.to_markdown())
+    atomic_write_text(path_json, json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+    atomic_write_text(path_md, report.to_markdown())

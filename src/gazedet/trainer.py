@@ -27,7 +27,7 @@ from .detector import (
     save_checkpoint,
     save_predictions,
 )
-from .gaze import _atomic_write_text
+from .fileio import atomic_write_text
 
 LOSS_CURVE_HEADER = "step,epoch,cls,bbox,mask,total"
 
@@ -152,7 +152,7 @@ def train(model_cfg: ModelConfig, train_readings: list[Reading],
             save_checkpoint(os.path.join(out_dir, "checkpoint_best.json"), model)
         if log:
             log(f"epoch {epoch} done; val loss {val_loss:.4f}")
-    _atomic_write_text(os.path.join(out_dir, "loss_curve.csv"), curve.to_csv())
+    atomic_write_text(os.path.join(out_dir, "loss_curve.csv"), curve.to_csv())
     return model, curve
 
 
@@ -216,9 +216,9 @@ def run_comparison(model_cfg_pairs: list[tuple[str, ModelConfig]],
         mx.save_report(os.path.join(arm_dir, "report.json"),
                        os.path.join(arm_dir, "report.md"), report)
         reports[tag] = report
-    _atomic_write_text(os.path.join(out_dir, "comparison.md"),
-                       comparison_markdown(reports))
-    _atomic_write_text(
+    atomic_write_text(os.path.join(out_dir, "comparison.md"),
+                      comparison_markdown(reports))
+    atomic_write_text(
         os.path.join(out_dir, "comparison.json"),
         json.dumps({tag: r.to_dict() for tag, r in reports.items()},
                    sort_keys=True, indent=1) + "\n",

@@ -151,3 +151,22 @@ class TestTrainEvalRoundTrip:
         assert code == 0, err
         table = lambda s: [l for l in s.splitlines() if l.startswith("|")]
         assert table(stdout2) == table(stdout)
+
+    def test_train_takes_size_from_dataset(self, capsys, tmp_path):
+        data = str(tmp_path / "data")
+        run(capsys, "synth", "--out", data, "--n", "4", "--size", "32",
+            "--seed", "0", "--train-frac", "0.5", "--val-frac", "0.25")
+        rundir = str(tmp_path / "run")
+        code, stdout, err = run(capsys, "train", "--dataset", data, "--out", rundir,
+                                "--epochs", "1", "--seed", "0")
+        assert code == 0, err
+        line = next(l for l in stdout.splitlines() if l.startswith("resolved config:"))
+        assert "size" not in json.loads(line.split(":", 1)[1])
+        with open(os.path.join(rundir, "checkpoint_last.json")) as fh:
+            assert json.load(fh)["config"]["img_size"] == 32
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_size_flag_rejected(self, capsys, tmp_path, command):
+        code, _, stderr = run(capsys, command, "--dataset", str(tmp_path / "d"),
+                              "--out", str(tmp_path / "o"), "--size", "128")
+        assert code == 1 and "--size" in stderr

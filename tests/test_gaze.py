@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,6 +46,45 @@ def idt_oracle(samples, dispersion, min_duration):
             ))
         i = j + 1
     return out
+
+
+def heatmap_reference(fixations, width, height, sigma, weighting="duration"):
+    """Per-pixel loop over fixations with the joint (non-separable) formula."""
+    raw = np.zeros((height, width))
+    for y in range(height):
+        for x in range(width):
+            raw[y, x] = sum(
+                (f.duration_ms if weighting == "duration" else 1.0)
+                * math.exp(-((x - f.cx_px) ** 2 + (y - f.cy_px) ** 2) / (2 * sigma * sigma))
+                for f in fixations
+            )
+    peak = raw.max()
+    return raw / peak if peak > 0 else raw
+
+
+def assert_matches_reference(fixations, width, height, sigma, weighting="duration"):
+    got = gz.render_heatmap(fixations, width, height, sigma, weighting=weighting).values
+    ref = heatmap_reference(fixations, width, height, sigma, weighting)
+    assert got.shape == (height, width)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+    if ref.max() > 0:
+        assert got.max() == 1.0
+    else:
+        assert np.all(got == 0.0)
+
+
+@st.composite
+def fixation_sets(draw):
+    width, height = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    sigma = draw(st.floats(1.0, 12.0))
+    fixes = []
+    for i in range(draw(st.integers(0, 8))):
+        # centres within 2 sigma of the grid keep every factor far from underflow
+        cx = draw(st.floats(-2 * sigma, width - 1 + 2 * sigma))
+        cy = draw(st.floats(-2 * sigma, height - 1 + 2 * sigma))
+        start = float(i * 500)
+        fixes.append(Fixation(cx, cy, start, start + draw(st.integers(0, 400))))
+    return fixes, width, height, sigma, draw(st.sampled_from(["duration", "uniform"]))
 
 
 class TestFilterGaze:
@@ -208,6 +249,46 @@ class TestRenderHeatmap:
         assert hard.values[16, 16] == 1.0
 
 
+class TestHeatmapMatchesReference:
+    SPREAD = [
+        Fixation(12.3, 7.9, 0.0, 180.0),
+        Fixation(40.0, 30.5, 300.0, 420.0),
+        Fixation(25.5, 20.0, 600.0, 950.0),
+        Fixation(5.0, 35.0, 1000.0, 1100.0),
+    ]
+
+    @pytest.mark.parametrize("weighting", ["duration", "uniform"])
+    def test_weightings_non_square(self, weighting):
+        assert_matches_reference(self.SPREAD, 48, 40, 5.0, weighting)
+
+    def test_off_image_and_corners(self):
+        fixes = [
+            Fixation(0.0, 0.0, 0.0, 150.0),
+            Fixation(47.0, 39.0, 200.0, 260.0),
+            Fixation(-6.0, 20.0, 300.0, 500.0),
+            Fixation(30.0, 45.0, 600.0, 700.0),
+            Fixation(5000.0, 5000.0, 800.0, 900.0),
+        ]
+        assert_matches_reference(fixes, 48, 40, 4.0)
+
+    def test_single_fixation(self):
+        assert_matches_reference([Fixation(17.25, 9.5, 0.0, 120.0)], 32, 24, 3.0)
+
+    def test_empty(self):
+        assert_matches_reference([], 16, 12, 3.0)
+
+    def test_zero_duration_only(self):
+        fixes = [Fixation(10.0, 10.0, 100.0, 100.0), Fixation(3.0, 20.0, 200.0, 200.0)]
+        assert_matches_reference(fixes, 32, 24, 3.0)
+        # uniform weighting ignores the durations, so the same input has a peak
+        assert_matches_reference(fixes, 32, 24, 3.0, "uniform")
+
+    @given(fixation_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_random_fixation_sets(self, case):
+        assert_matches_reference(*case)
+
+
 class TestFileFormats:
     def test_gaze_csv_round_trip(self, tmp_path):
         path = str(tmp_path / "gaze.csv")
@@ -245,3 +326,33 @@ class TestFileFormats:
         values = rng.uniform(0, 1, size=(6, 7))
         gz.write_float_map(path, values)
         assert np.array_equal(gz.read_float_map(path), values)
+
+    def test_pgm_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "map.pgm")
+        gz.write_pgm(path, np.zeros((4, 5)))
+        with open(path, "ab") as fh:
+            fh.write(b"\x00\x00")
+        with pytest.raises(ValueError, match=r"map\.pgm.*expected 20 body bytes, got 22"):
+            gz.read_pgm(path)
+
+    def test_pgm_truncated_body_rejected(self, tmp_path):
+        path = tmp_path / "map.pgm"
+        gz.write_pgm(str(path), np.zeros((4, 5)))
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(ValueError, match=r"map\.pgm.*expected 20 body bytes, got 17"):
+            gz.read_pgm(str(path))
+
+    def test_float_map_truncated_body_rejected(self, tmp_path):
+        path = tmp_path / "map.gfm"
+        gz.write_float_map(str(path), np.zeros((3, 2)))
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=r"map\.gfm.*expected 48 body bytes, got 47"):
+            gz.read_float_map(str(path))
+
+    def test_float_map_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "map.gfm")
+        gz.write_float_map(path, np.zeros((3, 2)))
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 8)
+        with pytest.raises(ValueError, match=r"map\.gfm.*expected 48 body bytes, got 56"):
+            gz.read_float_map(path)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -33,8 +34,11 @@ GAZE_CSV_HEADER = ["t_ms", "x_px", "y_px", "pupil_mm", "valid"]
 FIXATION_CSV_HEADER = ["cx_px", "cy_px", "start_ms", "end_ms"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class GazeSample:
+    """One tracker sample. Not frozen: a frozen dataclass sets each field
+    through object.__setattr__, which dominates reading long recordings."""
+
     t_ms: float
     x_px: float
     y_px: float
@@ -100,37 +104,44 @@ def detect_fixations(
     """I-DT fixation detection over a time-sorted sample stream."""
     if dispersion_px <= 0 or min_duration_ms <= 0:
         raise ValueError("dispersion_px and min_duration_ms must be positive")
-    for a, b in zip(samples, samples[1:]):
-        if b.t_ms <= a.t_ms:
-            raise ValueError(f"gaze samples not strictly increasing in time at t={b.t_ms}")
+    if samples:
+        prev_t = samples[0].t_ms
+        for s in islice(samples, 1, None):
+            t = s.t_ms
+            if t <= prev_t:
+                raise ValueError(f"gaze samples not strictly increasing in time at t={t}")
+            prev_t = t
 
+    # `x if x < m else m` is min(m, x) exactly, NaN and signed zeros included,
+    # without the builtin call; likewise for max.
     fixations: list[Fixation] = []
     n = len(samples)
     i = 0
     while i < n:
-        min_x = max_x = samples[i].x_px
-        min_y = max_y = samples[i].y_px
+        s = samples[i]
+        min_x = max_x = s.x_px
+        min_y = max_y = s.y_px
         j = i
         while j + 1 < n:
             s = samples[j + 1]
-            nmin_x, nmax_x = min(min_x, s.x_px), max(max_x, s.x_px)
-            nmin_y, nmax_y = min(min_y, s.y_px), max(max_y, s.y_px)
+            x = s.x_px
+            y = s.y_px
+            nmin_x = x if x < min_x else min_x
+            nmax_x = x if x > max_x else max_x
+            nmin_y = y if y < min_y else min_y
+            nmax_y = y if y > max_y else max_y
             if (nmax_x - nmin_x) + (nmax_y - nmin_y) > dispersion_px:
                 break
             min_x, max_x, min_y, max_y = nmin_x, nmax_x, nmin_y, nmax_y
             j += 1
-        window = samples[i : j + 1]
-        duration = window[-1].t_ms - window[0].t_ms
-        if duration >= min_duration_ms:
-            fixations.append(
-                Fixation(
-                    cx_px=sum(s.x_px for s in window) / len(window),
-                    cy_px=sum(s.y_px for s in window) / len(window),
-                    start_ms=window[0].t_ms,
-                    end_ms=window[-1].t_ms,
-                    n_samples=len(window),
-                )
-            )
+        start_ms = samples[i].t_ms
+        end_ms = samples[j].t_ms
+        if end_ms - start_ms >= min_duration_ms:
+            window = samples[i : j + 1]
+            k = len(window)
+            fixations.append(Fixation(sum([s.x_px for s in window]) / k,
+                                      sum([s.y_px for s in window]) / k,
+                                      start_ms, end_ms, k))
         i = j + 1
     return fixations
 
@@ -180,24 +191,42 @@ def binarize(fmap: FixationMap, threshold: float) -> FixationMap:
 # file formats
 
 
+_VALID_FLAGS = {"0": False, "1": True}
+
+
+def _csv_fields(line: str) -> list[str]:
+    """Fields of one line without its terminator; a blank line has none."""
+    line = line.rstrip("\r\n")
+    return line.split(",") if line else []
+
+
 def read_gaze_csv(path: str) -> list[GazeSample]:
-    """Parse `t_ms,x_px,y_px,pupil_mm,valid`; pupil may be empty, valid in {0,1}."""
+    """Parse `t_ms,x_px,y_px,pupil_mm,valid`; see README "Data formats".
+
+    Plain comma-separated lines ending in LF or CRLF (or CR), no quoting;
+    pupil may be empty, valid in {0,1}, t_ms >= 0 and strictly increasing.
+    Any other line raises ValueError naming `path:line`.
+    """
     samples: list[GazeSample] = []
+    append = samples.append
+    flags = _VALID_FLAGS
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        first = fh.readline()
+        header = _csv_fields(first) if first else None
         if header != GAZE_CSV_HEADER:
             raise ValueError(f"{path}:1: bad gaze header {header}")
         prev_t = -math.inf
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, line in enumerate(fh, start=2):
+            row = line.rstrip("\r\n").split(",")
             if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(_csv_fields(line))}")
+            t_s, x_s, y_s, pupil_s, valid_s = row
             try:
-                t = float(row[0])
-                x = float(row[1])
-                y = float(row[2])
-                pupil = float(row[3]) if row[3] != "" else None
-                valid = {"0": False, "1": True}[row[4]]
+                t = float(t_s)
+                x = float(x_s)
+                y = float(y_s)
+                pupil = float(pupil_s) if pupil_s else None
+                valid = flags[valid_s]
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
             if t < 0:
@@ -205,7 +234,7 @@ def read_gaze_csv(path: str) -> list[GazeSample]:
             if t <= prev_t:
                 raise ValueError(f"{path}:{lineno}: timestamps not strictly increasing")
             prev_t = t
-            samples.append(GazeSample(t, x, y, pupil, valid))
+            append(GazeSample(t, x, y, pupil, valid))
     return samples
 
 
@@ -250,8 +279,8 @@ def write_pgm(path: str, values: np.ndarray) -> None:
     if v.min() < 0 or v.max() > 1:
         raise ValueError("PGM values must lie in [0, 1]")
     h, w = v.shape
-    body = np.round(v * 255.0).astype(np.uint8).tobytes()
-    atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode() + body)
+    body = np.round(v * 255.0).astype(np.uint8)
+    atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode(), body)
 
 
 def read_pgm(path: str) -> np.ndarray:
@@ -272,6 +301,10 @@ def read_pgm(path: str) -> np.ndarray:
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
+        if pos == len(raw):
+            raise ValueError(f"{path}: PGM header cut off: {raw[:pos]!r}")
+        if not raw[start:pos].isdigit():
+            raise ValueError(f"{path}: bad PGM header field {raw[start:pos]!r}")
         fields.append(raw[start:pos])
     w, h, maxval = (int(f) for f in fields)
     if maxval != 255:
@@ -286,17 +319,19 @@ def write_float_map(path: str, values: np.ndarray) -> None:
     """Raw float64 sidecar for exact heatmap round-trips."""
     v = np.ascontiguousarray(values, dtype=np.float64)
     h, w = v.shape
-    atomic_write_bytes(path, f"GFMAP {w} {h}\n".encode() + v.tobytes())
+    atomic_write_bytes(path, f"GFMAP {w} {h}\n".encode(), v)
 
 
 def read_float_map(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         header = fh.readline()
-        tag, w, h = header.split()
-        if tag != b"GFMAP":
-            raise ValueError(f"{path}: not a float map")
         body = fh.read()
-    w, h = int(w), int(h)
+    fields = header.split()
+    if not fields or fields[0] != b"GFMAP":
+        raise ValueError(f"{path}: not a float map")
+    if len(fields) != 3 or not (fields[1].isdigit() and fields[2].isdigit()):
+        raise ValueError(f"{path}: bad float map header {header!r}")
+    w, h = int(fields[1]), int(fields[2])
     _check_body_length(path, len(body), 8 * w * h)
     return np.frombuffer(body, dtype=np.float64).reshape(h, w).copy()
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -356,3 +357,276 @@ class TestFileFormats:
             fh.write(b"\x00" * 8)
         with pytest.raises(ValueError, match=r"map\.gfm.*expected 48 body bytes, got 56"):
             gz.read_float_map(path)
+
+
+# ---------------------------------------------------------------------------
+# gaze CSV reader: error lines, grammar edges, and parity with csv.reader
+
+GAZE_HEADER_LINE = "t_ms,x_px,y_px,pupil_mm,valid\n"
+
+
+def write_text(tmp_path, text, name="gaze.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode())
+    return str(path)
+
+
+def csv_module_reader(path):
+    """The reader as it was with csv.reader, kept to pin messages and results."""
+    import csv
+
+    samples = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != gz.GAZE_CSV_HEADER:
+            raise ValueError(f"{path}:1: bad gaze header {header}")
+        prev_t = -math.inf
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 5:
+                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(row)}")
+            try:
+                t = float(row[0])
+                x = float(row[1])
+                y = float(row[2])
+                pupil = float(row[3]) if row[3] != "" else None
+                valid = {"0": False, "1": True}[row[4]]
+            except (ValueError, KeyError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            if t < 0:
+                raise ValueError(f"{path}:{lineno}: negative timestamp {t}")
+            if t <= prev_t:
+                raise ValueError(f"{path}:{lineno}: timestamps not strictly increasing")
+            prev_t = t
+            samples.append(GazeSample(t, x, y, pupil, valid))
+    return samples
+
+
+def sample_bits(samples):
+    """Bitwise identity of a sample list; NaN fields compare equal to themselves."""
+    return [
+        (struct.pack("<3d", s.t_ms, s.x_px, s.y_px),
+         None if s.pupil_mm is None else struct.pack("<d", s.pupil_mm), s.valid)
+        for s in samples
+    ]
+
+
+def read_outcome(reader, path):
+    try:
+        return "ok", sample_bits(reader(path))
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+CSV_FIELD_WORDS = ["0", "1", "2", "", "10.5", "-3", "nan", "inf", " 7", "1e3", "abc", "0.0"]
+
+
+@st.composite
+def gaze_csv_texts(draw):
+    """Unquoted CSV text: mostly well-formed rows, some broken, mixed line ends."""
+    header = draw(st.sampled_from([GAZE_HEADER_LINE.rstrip("\n")] * 6 + [
+        "", "t_ms,x_px,y_px,pupil_mm", "t_ms,x_px,y_px,pupil_mm,valid,extra", "T_MS,x,y,p,v",
+    ]))
+    lines = [header]
+    t = 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(",".join(draw(st.lists(st.sampled_from(CSV_FIELD_WORDS),
+                                                min_size=0, max_size=7))))
+        else:
+            t += draw(st.sampled_from([0.0, 4.0, 10.0]))
+            pupil = draw(st.sampled_from(["", "3.5"]))
+            lines.append(f"{t!r},{draw(st.floats(-600, 600))!r},1.0,{pupil},"
+                         f"{draw(st.sampled_from(['0', '1']))}")
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no terminator after the last line
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestGazeCsvReader:
+    @pytest.mark.parametrize("body, lineno, message", [
+        ("0.0,1,2,,1\n10.0,1,2,3\n", 3, "expected 5 fields, got 4"),
+        ("0.0,1,2,,1,0\n", 2, "expected 5 fields, got 6"),
+        ("0.0,1,2,,1\n10.0,abc,2,,1\n", 3, "malformed row"),
+        ("0.0,1,2,,2\n", 2, "malformed row"),
+        ("-5.0,1,2,,1\n", 2, "negative timestamp -5.0"),
+        ("0.0,1,2,,1\n\n10.0,1,2,,1\n", 3, "expected 5 fields, got 0"),
+    ], ids=["four_fields", "six_fields", "non_numeric_x", "valid_2", "negative_t", "blank_line"])
+    def test_bad_row_cites_line(self, tmp_path, body, lineno, message):
+        path = write_text(tmp_path, GAZE_HEADER_LINE + body)
+        with pytest.raises(ValueError, match=f":{lineno}: {message}"):
+            gz.read_gaze_csv(path)
+
+    def test_bad_header_cites_line_one(self, tmp_path):
+        path = write_text(tmp_path, "t,x,y,p,v\n0.0,1,2,,1\n")
+        with pytest.raises(ValueError, match=":1: bad gaze header"):
+            gz.read_gaze_csv(path)
+
+    def test_quoted_field_rejected(self, tmp_path):
+        path = write_text(tmp_path, GAZE_HEADER_LINE + '0.0,"1.5",2,,1\n')
+        with pytest.raises(ValueError, match=":2: malformed row"):
+            gz.read_gaze_csv(path)
+
+    def test_header_only_reads_empty(self, tmp_path):
+        assert gz.read_gaze_csv(write_text(tmp_path, GAZE_HEADER_LINE)) == []
+
+    def test_crlf_reads_equal_to_lf(self, tmp_path):
+        text = GAZE_HEADER_LINE + "0.0,1.5,2.5,3.25,1\n10.0,-4.0,7.0,,0\n"
+        lf = gz.read_gaze_csv(write_text(tmp_path, text, "lf.csv"))
+        crlf = gz.read_gaze_csv(write_text(tmp_path, text.replace("\n", "\r\n"), "crlf.csv"))
+        assert crlf == lf
+        assert len(lf) == 2
+
+    @given(st.lists(st.tuples(
+        st.floats(allow_nan=False), st.floats(allow_nan=False),
+        st.one_of(st.none(), st.floats(allow_nan=False)), st.booleans(),
+    ), max_size=20), st.sets(st.floats(0, 1e12), max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_write_read_round_trip(self, tmp_path_factory, rows, times):
+        stream = [GazeSample(t, x, y, p, v) for t, (x, y, p, v) in zip(sorted(times), rows)]
+        path = str(tmp_path_factory.mktemp("rt") / "gaze.csv")
+        gz.write_gaze_csv(path, stream)
+        assert gz.read_gaze_csv(path) == stream
+
+    @given(gaze_csv_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_same_outcome_as_csv_module(self, tmp_path_factory, text):
+        path = write_text(tmp_path_factory.mktemp("cmp"), text)
+        assert read_outcome(gz.read_gaze_csv, path) == read_outcome(csv_module_reader, path)
+
+
+# ---------------------------------------------------------------------------
+# I-DT: bitwise equality with the builtin min()/max() formulation
+
+
+def idt_builtin_minmax(samples, dispersion_px, min_duration_ms):
+    """The I-DT loop written with builtin min()/max() and generator means."""
+    fixations = []
+    n = len(samples)
+    i = 0
+    while i < n:
+        min_x = max_x = samples[i].x_px
+        min_y = max_y = samples[i].y_px
+        j = i
+        while j + 1 < n:
+            s = samples[j + 1]
+            nmin_x, nmax_x = min(min_x, s.x_px), max(max_x, s.x_px)
+            nmin_y, nmax_y = min(min_y, s.y_px), max(max_y, s.y_px)
+            if (nmax_x - nmin_x) + (nmax_y - nmin_y) > dispersion_px:
+                break
+            min_x, max_x, min_y, max_y = nmin_x, nmax_x, nmin_y, nmax_y
+            j += 1
+        window = samples[i : j + 1]
+        duration = window[-1].t_ms - window[0].t_ms
+        if duration >= min_duration_ms:
+            fixations.append(Fixation(
+                cx_px=sum(s.x_px for s in window) / len(window),
+                cy_px=sum(s.y_px for s in window) / len(window),
+                start_ms=window[0].t_ms,
+                end_ms=window[-1].t_ms,
+                n_samples=len(window),
+            ))
+        i = j + 1
+    return fixations
+
+
+def fixation_bits(fixations):
+    return [(struct.pack("<4d", f.cx_px, f.cy_px, f.start_ms, f.end_ms), f.n_samples)
+            for f in fixations]
+
+
+# Grid coordinates make spans land exactly on an integer dispersion and
+# repeat points; jittered ones make the window means round, so a change in
+# summation order shows; NaN reaches the detector when no image size filters it.
+GRID_COORD = st.integers(0, 12).map(float)
+JITTER_COORD = st.builds(lambda k, f: k + f, st.integers(0, 12), st.floats(0.0, 1.0))
+IDT_COORD = st.one_of(GRID_COORD, GRID_COORD, JITTER_COORD, JITTER_COORD,
+                      st.floats(-40.0, 40.0), st.just(-0.0), st.just(math.nan))
+
+
+@st.composite
+def idt_streams(draw):
+    points = []
+    for x, y, repeat in draw(st.lists(st.tuples(IDT_COORD, IDT_COORD, st.integers(1, 3)),
+                                      max_size=60)):
+        points += [(x, y)] * repeat
+    steps = draw(st.lists(st.sampled_from([1.0, 2.5, 10.0]), min_size=len(points),
+                          max_size=len(points)))
+    t = 0.0
+    stream = []
+    for (x, y), dt in zip(points, steps):
+        stream.append(GazeSample(t, x, y))
+        t += dt
+    return stream
+
+
+class TestIdtBitwise:
+    @given(idt_streams(), st.sampled_from([1.0, 3.0, 5.0, 7.5, 12.0]),
+           st.sampled_from([2.5, 10.0, 20.0, 30.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_builtin_minmax_loop(self, stream, dispersion, min_duration):
+        got = gz.detect_fixations(stream, dispersion, min_duration)
+        assert fixation_bits(got) == fixation_bits(
+            idt_builtin_minmax(stream, dispersion, min_duration))
+        if not any(math.isnan(s.x_px) or math.isnan(s.y_px) for s in stream):
+            assert got == idt_builtin_minmax(stream, dispersion, min_duration)
+
+    def test_span_exactly_on_threshold_stays_in_window(self):
+        stream = make_stream([(0.0, 0.0), (3.0, 2.0), (0.0, 0.0), (3.0, 2.1)])
+        fixes = gz.detect_fixations(stream, 5.0, 20.0)
+        assert [f.n_samples for f in fixes] == [3]
+        assert fixation_bits(fixes) == fixation_bits(idt_builtin_minmax(stream, 5.0, 20.0))
+
+    def test_nan_coordinates_from_csv(self, tmp_path):
+        rows = "".join(f"{i * 10.0},{x},{y},,1\n" for i, (x, y) in enumerate(
+            [(5, 5), (6, 5), ("nan", 5), (5, 6), (5, 5), (90, 90), ("nan", "nan"), (91, 90),
+             (90, 91)]))
+        stream = gz.read_gaze_csv(write_text(tmp_path, GAZE_HEADER_LINE + rows))
+        fixes = gz.detect_fixations(stream, 5.0, 20.0)
+        assert fixation_bits(fixes) == fixation_bits(idt_builtin_minmax(stream, 5.0, 20.0))
+        assert len(fixes) == 2 and math.isnan(fixes[0].cx_px)
+
+
+class TestMapFileHeaders:
+    def test_float_map_short_header(self, tmp_path):
+        path = tmp_path / "map.gfm"
+        path.write_bytes(b"GFMAP 3\n" + b"\x00" * 24)
+        with pytest.raises(ValueError, match=r"map\.gfm: bad float map header b'GFMAP 3\\n'"):
+            gz.read_float_map(str(path))
+
+    def test_float_map_wrong_tag(self, tmp_path):
+        path = tmp_path / "map.gfm"
+        path.write_bytes(b"P5\n1 1\n255\n\x00")
+        with pytest.raises(ValueError, match=r"map\.gfm: not a float map"):
+            gz.read_float_map(str(path))
+
+    def test_pgm_non_numeric_size(self, tmp_path):
+        path = tmp_path / "map.pgm"
+        path.write_bytes(b"P5\n4 x\n255\n" + b"\x00" * 16)
+        with pytest.raises(ValueError, match=r"map\.pgm: bad PGM header field b'x'"):
+            gz.read_pgm(str(path))
+
+    @pytest.mark.parametrize("raw", [b"P5\n4 4", b"P5\n4 4\n255", b"P5\n4 # size\n"])
+    def test_pgm_cut_off_in_header(self, tmp_path, raw):
+        path = tmp_path / "map.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=r"map\.pgm: PGM header cut off"):
+            gz.read_pgm(str(path))
+
+    def test_writers_produce_header_then_body_bytes(self, tmp_path):
+        values = np.random.default_rng(3).uniform(0, 1, size=(5, 7))
+        gz.write_float_map(str(tmp_path / "m.gfm"), values)
+        gz.write_pgm(str(tmp_path / "m.pgm"), values)
+        assert (tmp_path / "m.gfm").read_bytes() == b"GFMAP 7 5\n" + values.tobytes()
+        quantized = np.round(values * 255.0).astype(np.uint8).tobytes()
+        assert (tmp_path / "m.pgm").read_bytes() == b"P5\n7 5\n255\n" + quantized
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.gfm", "m.pgm"]
+
+    def test_chunked_atomic_write(self, tmp_path):
+        from gazedet.fileio import atomic_write_bytes
+
+        path = str(tmp_path / "out.bin")
+        atomic_write_bytes(path, b"head\n", np.arange(3, dtype=np.uint8), memoryview(b"!"))
+        assert (tmp_path / "out.bin").read_bytes() == b"head\n\x00\x01\x02!"
+        assert not (tmp_path / "out.bin.tmp").exists()

@@ -160,10 +160,6 @@ class LayerParams:
     def tensors(self) -> tuple[Tensor, Tensor]:
         return (self.weights, self.bias)
 
-    def zero_grad(self) -> None:
-        self.weights.zero_grad()
-        self.bias.zero_grad()
-
 
 def kaiming_conv(c_out: int, c_in: int, kh: int, kw: int, rng: np.random.Generator) -> LayerParams:
     fan_in = c_in * kh * kw

@@ -334,10 +334,7 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args)
         _print_resolved(args, seed)
         return args.func(args, seed)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, FileNotFoundError, KeyError, NumericsError) as exc:
+    except (CliError, ValueError, FileNotFoundError, KeyError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -17,7 +17,8 @@ on the ground-truth class channel only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,32 +40,30 @@ class ModelConfig:
     fusion_point: str = "feature"  # "input" | "feature"
     anchor_scales: tuple = (8.0, 16.0, 28.0)
     anchor_ratios: tuple = (1.0,)
-    pre_nms_top: int = 200
     post_nms_top: int = 50  # 0 = head sees only appended gt boxes (train mode)
-    rpn_nms_thresh: float = 0.7
     roi_size: int = 7
-    rpn_fg_thresh: float = 0.7
-    rpn_bg_thresh: float = 0.3
-    head_fg_thresh: float = 0.5
-    head_bg_thresh: float = 0.5
     n_classes: int = 5
     seed: int = 0
     channels: tuple = (8, 16, 32, 32)
     rpn_channels: int = 32
     fc_dim: int = 64
     mask_channels: int = 16
-    rpn_batch: int = 32
-    proposals_per_step: int = 32
-    pos_fraction: float = 0.25
     score_thresh: float = 0.05
     infer_nms_thresh: float = 0.5
     max_detections: int = 100
 
+    # fixed proposal and sampling settings: class constants, not config fields
+    pre_nms_top: ClassVar[int] = 200
+    rpn_nms_thresh: ClassVar[float] = 0.7
+    rpn_fg_thresh: ClassVar[float] = 0.7
+    rpn_bg_thresh: ClassVar[float] = 0.3
+    head_fg_thresh: ClassVar[float] = 0.5
+    head_bg_thresh: ClassVar[float] = 0.5
+    rpn_batch: ClassVar[int] = 32
+    proposals_per_step: ClassVar[int] = 32
+    pos_fraction: ClassVar[float] = 0.25
+
     def __post_init__(self):
-        if not 0.0 <= self.rpn_bg_thresh < self.rpn_fg_thresh <= 1.0:
-            raise ValueError("need 0 <= rpn_bg_thresh < rpn_fg_thresh <= 1")
-        if not 0.0 <= self.head_bg_thresh <= self.head_fg_thresh <= 1.0:
-            raise ValueError("need 0 <= head_bg_thresh <= head_fg_thresh <= 1")
         if not self.anchor_scales or not self.anchor_ratios:
             raise ValueError("anchor scales and ratios must be non-empty")
         if self.fusion_mode not in ("sum", "mul"):
@@ -225,10 +224,6 @@ class DetectorModel:
     def param_list(self) -> list[LayerParams]:
         order = _SHARED_LAYER_ORDER + [n for n in _FIX_LAYER_ORDER if n in self.params]
         return [self.params[n] for n in order]
-
-    def zero_grad(self) -> None:
-        for p in self.param_list():
-            p.zero_grad()
 
     def _backbone(self, x: Tensor, prefix: str) -> Tensor:
         h = ad.relu(ad.conv2d(x, self.params[prefix + "_0"], stride=1, pad=1))
@@ -498,6 +493,10 @@ def load_checkpoint(path: str) -> DetectorModel:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     cfg_dict = dict(payload["config"])
+    known = {f.name for f in fields(ModelConfig)}
+    if set(cfg_dict) != known:
+        raise ValueError(f"{path}: config keys unknown {sorted(set(cfg_dict) - known)}, "
+                         f"missing {sorted(known - set(cfg_dict))}")
     for key in ("anchor_scales", "anchor_ratios", "channels"):
         cfg_dict[key] = tuple(cfg_dict[key])
     model = DetectorModel(ModelConfig(**cfg_dict))

@@ -16,8 +16,8 @@ per-axis factors rather than K full-grid evaluations.
 
 from __future__ import annotations
 
-import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 
@@ -200,26 +200,44 @@ def _csv_fields(line: str) -> list[str]:
     return line.split(",") if line else []
 
 
-def read_gaze_csv(path: str) -> list[GazeSample]:
-    """Parse `t_ms,x_px,y_px,pupil_mm,valid`; see README "Data formats".
+@contextmanager
+def _csv_body(path: str, header: list[str], kind: str):
+    """Check the header of a gaze-format CSV file; yield its numbered body lines.
 
-    Plain comma-separated lines ending in LF or CRLF (or CR), no quoting;
-    pupil may be empty, valid in {0,1}, t_ms >= 0 and strictly increasing.
-    Any other line raises ValueError naming `path:line`.
-    """
+    Both gaze files share one grammar (README "Data formats"): comma-separated
+    lines ending in LF, CRLF or CR, no quoting. Readers split a body line with
+    ``line.rstrip("\r\n").split(",")`` in their own loop."""
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        got = _csv_fields(first) if first else None
+        if got != header:
+            raise ValueError(f"{path}:1: bad {kind} header {got}")
+        yield enumerate(fh, start=2)
+
+
+def _bad_row(path: str, lineno: int, line: str, header: list[str]) -> ValueError:
+    """The error for a body line with the wrong field count or a non-finite number."""
+    row = _csv_fields(line)
+    if len(row) != len(header):
+        return ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    name, text = next((n, v) for n, v in zip(header, row) if v and not math.isfinite(float(v)))
+    return ValueError(f"{path}:{lineno}: non-finite {name} {text!r}")
+
+
+def read_gaze_csv(path: str) -> list[GazeSample]:
+    """Parse `t_ms,x_px,y_px,pupil_mm,valid`: finite numbers, pupil may be empty,
+    valid in {0,1}, t_ms >= 0 and strictly increasing (README "Data formats").
+    Any other line raises ValueError naming `path:line`."""
     samples: list[GazeSample] = []
     append = samples.append
     flags = _VALID_FLAGS
-    with open(path, newline="") as fh:
-        first = fh.readline()
-        header = _csv_fields(first) if first else None
-        if header != GAZE_CSV_HEADER:
-            raise ValueError(f"{path}:1: bad gaze header {header}")
-        prev_t = -math.inf
-        for lineno, line in enumerate(fh, start=2):
+    isfinite = math.isfinite
+    prev_t = -math.inf
+    with _csv_body(path, GAZE_CSV_HEADER, "gaze") as body:
+        for lineno, line in body:
             row = line.rstrip("\r\n").split(",")
             if len(row) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(_csv_fields(line))}")
+                raise _bad_row(path, lineno, line, GAZE_CSV_HEADER)
             t_s, x_s, y_s, pupil_s, valid_s = row
             try:
                 t = float(t_s)
@@ -229,6 +247,8 @@ def read_gaze_csv(path: str) -> list[GazeSample]:
                 valid = flags[valid_s]
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            if not (isfinite(t) and isfinite(x) and isfinite(y)) or pupil_s and not isfinite(pupil):
+                raise _bad_row(path, lineno, line, GAZE_CSV_HEADER)
             if t < 0:
                 raise ValueError(f"{path}:{lineno}: negative timestamp {t}")
             if t <= prev_t:
@@ -247,19 +267,21 @@ def write_gaze_csv(path: str, samples: list[GazeSample]) -> None:
 
 
 def read_fixation_csv(path: str) -> list[Fixation]:
+    """Parse `cx_px,cy_px,start_ms,end_ms`: finite numbers, end_ms >= start_ms.
+
+    Fixations off the image are kept; `render_heatmap` defines how they count."""
     fixations: list[Fixation] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FIXATION_CSV_HEADER:
-            raise ValueError(f"{path}:1: bad fixation header {header}")
-        for lineno, row in enumerate(reader, start=2):
+    with _csv_body(path, FIXATION_CSV_HEADER, "fixation") as body:
+        for lineno, line in body:
+            row = line.rstrip("\r\n").split(",")
             if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+                raise _bad_row(path, lineno, line, FIXATION_CSV_HEADER)
             try:
-                cx, cy, start, end = (float(v) for v in row)
+                cx, cy, start, end = map(float, row)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            if not all(map(math.isfinite, (cx, cy, start, end))):
+                raise _bad_row(path, lineno, line, FIXATION_CSV_HEADER)
             if end < start:
                 raise ValueError(f"{path}:{lineno}: end_ms before start_ms")
             fixations.append(Fixation(cx, cy, start, end))

@@ -94,44 +94,38 @@ def match_detections(dets, gts, thresh: float, kind: str = "iobb") -> MatchResul
     return MatchResult(is_tp, matched_gt, gt_matched, order)
 
 
+def _class_scores(dets, gts, thresh: float, kind: str, max_dets: int):
+    """AP, AR@max_dets, precision and recall of one class from one greedy match.
+
+    Greedy matching in rank order makes the match of the top ``max_dets``
+    detections the first ``max_dets`` ranks of the full match.
+    """
+    is_tp = match_detections(dets, gts, thresh, kind).det_is_tp
+    n_tp = int(is_tp.sum())
+    precision = n_tp / len(dets) if len(dets) else 0.0
+    if len(gts) == 0:
+        return None, None, precision, 0.0
+    ap = 0.0
+    if len(dets):
+        tp = np.cumsum(is_tp.astype(np.float64))
+        fp = np.cumsum((~is_tp).astype(np.float64))
+        rec = tp / len(gts)
+        # all-point area under the precision envelope (running max from the right)
+        r = np.concatenate([[0.0], rec, [rec[-1]]])
+        p = np.maximum.accumulate(np.concatenate([[0.0], tp / (tp + fp), [0.0]])[::-1])[::-1]
+        ap = float(np.sum((r[1:] - r[:-1]) * p[1:]))
+    return ap, int(is_tp[:max_dets].sum()) / len(gts), precision, n_tp / len(gts)
+
+
 def average_precision(dets, gts, thresh: float, kind: str = "iobb") -> float | None:
     """All-point area under the precision-recall curve; None if no gt."""
-    if len(gts) == 0:
-        return None
-    if len(dets) == 0:
-        return 0.0
-    m = match_detections(dets, gts, thresh, kind)
-    tp = np.cumsum(m.det_is_tp.astype(np.float64))
-    fp = np.cumsum((~m.det_is_tp).astype(np.float64))
-    recall = tp / len(gts)
-    precision = tp / (tp + fp)
-    # precision envelope, then sum area over recall increments
-    r = np.concatenate([[0.0], recall, [recall[-1]]])
-    p = np.concatenate([[0.0], precision, [0.0]])
-    for i in range(len(p) - 2, -1, -1):
-        p[i] = max(p[i], p[i + 1])
-    return float(np.sum((r[1:] - r[:-1]) * p[1:]))
+    return _class_scores(dets, gts, thresh, kind, len(dets))[0]
 
 
 def average_recall(dets, gts, thresh: float, kind: str = "iobb",
                    max_dets: int = 100) -> float | None:
     """Fraction of gts matched by the top ``max_dets`` detections; None if no gt."""
-    if len(gts) == 0:
-        return None
-    order = _rank_order(dets)
-    top = [dets[i] for i in order[:max_dets]]
-    m = match_detections(top, gts, thresh, kind)
-    return float(m.gt_matched.sum()) / len(gts)
-
-
-def precision_recall(dets, gts, thresh: float, kind: str = "iobb") -> tuple[float, float]:
-    """Raw precision/recall over the full detection set at one threshold."""
-    if len(dets) == 0:
-        return 0.0, 0.0
-    m = match_detections(dets, gts, thresh, kind)
-    tp = float(m.det_is_tp.sum())
-    recall = tp / len(gts) if len(gts) else 0.0
-    return tp / len(dets), recall
+    return _class_scores(dets, gts, thresh, kind, max_dets)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +141,11 @@ class ClassMetrics:
     recall: float = 0.0
     n_gt: int = 0
     n_det: int = 0
+
+
+def format_cell(v: float | None) -> str:
+    """One AP/AR table cell: six decimals, or n/a for an undefined value."""
+    return "n/a" if v is None else f"{v:.6f}"
 
 
 @dataclass
@@ -187,9 +186,7 @@ class MetricsReport:
         }
 
     def to_markdown(self) -> str:
-        def fmt(v):
-            return "n/a" if v is None else f"{v:.6f}"
-
+        fmt = format_cell
         lines = [
             f"| Abnormality | {self.ap_header()} | {self.ar_header()} |",
             "|---|---|---|",
@@ -260,16 +257,9 @@ def evaluate_detections(dets_by_class: dict[ClassLabel, list],
     for c in ClassLabel:
         dets = dets_by_class.get(c, [])
         gts = gts_by_class.get(c, [])
-        prec, rec = precision_recall(dets, gts, thresh, kind)
-        rows.append(ClassMetrics(
-            label=c,
-            ap=average_precision(dets, gts, thresh, kind),
-            ar=average_recall(dets, gts, thresh, kind, max_dets),
-            precision=prec,
-            recall=rec,
-            n_gt=len(gts),
-            n_det=len(dets),
-        ))
+        ap, ar, prec, rec = _class_scores(dets, gts, thresh, kind, max_dets)
+        rows.append(ClassMetrics(label=c, ap=ap, ar=ar, precision=prec, recall=rec,
+                                 n_gt=len(gts), n_det=len(dets)))
     meta = {"metric_kind": kind, "threshold": thresh, "max_dets": max_dets}
     meta.update(metadata or {})
     return build_report(rows, meta)

@@ -17,7 +17,7 @@ import numpy as np
 from . import gaze as gz
 from . import metrics as mx
 from .autodiff import NumericsError, sgd_step
-from .dataset import ClassLabel, Reading, reading_targets
+from .dataset import REPORT_CLASS_TITLES, ClassLabel, Reading, reading_targets
 from .detector import (
     DetectorModel,
     LossBreakdown,
@@ -97,17 +97,21 @@ def _inputs_for(reading: Reading, model_cfg: ModelConfig):
     return reading.image, fmap
 
 
+def _reading_loss(model: DetectorModel, reading: Reading, model_cfg: ModelConfig,
+                  rng: np.random.Generator) -> LossBreakdown:
+    """Train-mode forward pass and loss of one reading."""
+    image, fmap = _inputs_for(reading, model_cfg)
+    targets = reading_targets(reading)
+    gt = np.stack([t.xyxy for t in targets]) if targets else None
+    out = model.forward(image, fmap, mode="train", gt_boxes=gt)
+    return compute_loss(out, targets, model_cfg, rng)
+
+
 def _epoch_val_loss(model, readings, model_cfg, seed, epoch) -> float:
     total = 0.0
     for k, reading in enumerate(readings):
-        image, fmap = _inputs_for(reading, model_cfg)
-        targets = reading_targets(reading)
-        gt = np.stack([t.xyxy for t in targets]) if targets else None
-        out = model.forward(image, fmap, mode="train", gt_boxes=gt)
         rng = np.random.default_rng([seed, 1_000_000 + epoch, k])
-        loss = compute_loss(out, targets, model_cfg, rng)
-        model.zero_grad()
-        total += loss.total
+        total += _reading_loss(model, reading, model_cfg, rng).total
     return total / max(1, len(readings))
 
 
@@ -125,19 +129,13 @@ def train(model_cfg: ModelConfig, train_readings: list[Reading],
     for epoch in range(train_cfg.epochs):
         order = np.random.default_rng([train_cfg.seed, epoch]).permutation(len(train_readings))
         for k in order:
-            reading = train_readings[k]
-            image, fmap = _inputs_for(reading, model_cfg)
-            targets = reading_targets(reading)
-            gt = np.stack([t.xyxy for t in targets]) if targets else None
-            out = model.forward(image, fmap, mode="train", gt_boxes=gt)
             rng = np.random.default_rng([train_cfg.seed, epoch, int(k)])
             try:
-                loss = compute_loss(out, targets, model_cfg, rng)
+                loss = _reading_loss(model, train_readings[k], model_cfg, rng)
                 loss.tensor.backward()
                 sgd_step(model.param_list(), train_cfg.lr, train_cfg.momentum)
             except NumericsError as exc:
                 raise RuntimeError(f"training diverged at step {step}: {exc}") from exc
-            model.zero_grad()
             # drop the graph reference so the curve holds only scalars
             loss.tensor = None
             curve.steps.append((step, epoch, loss))
@@ -235,13 +233,8 @@ def comparison_markdown(reports: dict[str, mx.MetricsReport]) -> str:
         for tag in tags
     )
     sep = "|---|" + "---|---|" * len(tags)
-
-    def fmt(v):
-        return "n/a" if v is None else f"{v:.6f}"
-
+    fmt = mx.format_cell
     lines = [header, sep]
-    from .dataset import REPORT_CLASS_TITLES
-
     for i, row in enumerate(first.rows):
         cells = [REPORT_CLASS_TITLES[row.label]]
         for tag in tags:

@@ -94,6 +94,18 @@ class TestLoadReading:
         with pytest.raises(FileNotFoundError, match="image.pgm"):
             ds.load_reading(str(rdir))
 
+    def test_off_image_fixations_are_kept(self, tmp_path):
+        from gazedet import trainer as tr
+
+        rdir = self._write_reading(tmp_path, "[]")
+        fixes = [gz.Fixation(-10.0, -10.0, 0.0, 200.0), gz.Fixation(30.0, 20.0, 300.0, 450.0)]
+        gz.write_fixation_csv(rdir + "/fixations.csv", fixes)
+        reading = ds.load_reading(rdir)
+        assert reading.fixations == fixes
+        sigma = gz.scaled_default(gz.DEFAULT_SIGMA_PX, 64)
+        expected = gz.render_heatmap(fixes, 64, 64, sigma).values
+        assert np.array_equal(tr.fixation_map_for(reading, 64).values, expected)
+
     def test_fixations_take_precedence(self, tmp_path):
         rdir = self._write_reading(tmp_path, "[]")
         gz.write_fixation_csv(rdir + "/fixations.csv", [gz.Fixation(5, 5, 0, 200)])

@@ -314,6 +314,20 @@ class TestCheckpoint:
             dt.load_checkpoint(str(path))
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("edit, key", [
+        (lambda cfg: cfg.update(dropout=0.5), "dropout"),
+        (lambda cfg: cfg.pop("fc_dim"), "fc_dim"),
+    ], ids=["unknown_key", "missing_key"])
+    def test_rejects_config_key_mismatch(self, tmp_path, edit, key):
+        path = tmp_path / "ckpt.json"
+        dt.save_checkpoint(str(path), DetectorModel(ModelConfig()))
+        payload = json.loads(path.read_text())
+        edit(payload["config"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=key) as info:
+            dt.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")

@@ -372,7 +372,7 @@ def write_text(tmp_path, text, name="gaze.csv"):
 
 
 def csv_module_reader(path):
-    """The reader as it was with csv.reader, kept to pin messages and results."""
+    """The reader as it was with csv.reader, plus the finite-number rule."""
     import csv
 
     samples = []
@@ -393,6 +393,9 @@ def csv_module_reader(path):
                 valid = {"0": False, "1": True}[row[4]]
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
+            for name, text, value in zip(gz.GAZE_CSV_HEADER, row, (t, x, y, pupil)):
+                if value is not None and not math.isfinite(value):
+                    raise ValueError(f"{path}:{lineno}: non-finite {name} {text!r}")
             if t < 0:
                 raise ValueError(f"{path}:{lineno}: negative timestamp {t}")
             if t <= prev_t:
@@ -479,8 +482,9 @@ class TestGazeCsvReader:
         assert len(lf) == 2
 
     @given(st.lists(st.tuples(
-        st.floats(allow_nan=False), st.floats(allow_nan=False),
-        st.one_of(st.none(), st.floats(allow_nan=False)), st.booleans(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)), st.booleans(),
     ), max_size=20), st.sets(st.floats(0, 1e12), max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_write_read_round_trip(self, tmp_path_factory, rows, times):
@@ -494,6 +498,68 @@ class TestGazeCsvReader:
     def test_same_outcome_as_csv_module(self, tmp_path_factory, text):
         path = write_text(tmp_path_factory.mktemp("cmp"), text)
         assert read_outcome(gz.read_gaze_csv, path) == read_outcome(csv_module_reader, path)
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_rejected(self, tmp_path, field, word):
+        row = ["10.0", "1.5", "2.5", "3.25", "1"]
+        row[field] = word
+        path = write_text(tmp_path, GAZE_HEADER_LINE + "0.0,1,1,,1\n" + ",".join(row) + "\n")
+        name = gz.GAZE_CSV_HEADER[field]
+        with pytest.raises(ValueError, match=rf"gaze\.csv:3: non-finite {name} '{word}'"):
+            gz.read_gaze_csv(path)
+
+    def test_nan_timestamp_cannot_reset_time(self, tmp_path):
+        path = write_text(tmp_path, GAZE_HEADER_LINE + "10,1,1,,1\nnan,1,1,,1\n5,1,1,,1\n")
+        with pytest.raises(ValueError, match=":3: non-finite t_ms 'nan'"):
+            gz.read_gaze_csv(path)
+
+
+FIXATION_HEADER_LINE = "cx_px,cy_px,start_ms,end_ms\n"
+
+
+class TestFixationCsvReader:
+    """fixations.csv follows the gaze.csv grammar, and its numbers are finite."""
+
+    def read(self, tmp_path, body, header=FIXATION_HEADER_LINE):
+        return gz.read_fixation_csv(write_text(tmp_path, header + body, "fixations.csv"))
+
+    def test_quoted_field_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"fixations\.csv:2: malformed row"):
+            self.read(tmp_path, '"10.5",20,0,150\n')
+
+    def test_crlf_reads_equal_to_lf(self, tmp_path):
+        body = "10.5,20.25,0.0,150.0\n-3,7,200,400\n"
+        lf = self.read(tmp_path, body)
+        crlf = gz.read_fixation_csv(write_text(
+            tmp_path, (FIXATION_HEADER_LINE + body).replace("\n", "\r\n"), "crlf.csv"))
+        assert crlf == lf == [Fixation(10.5, 20.25, 0.0, 150.0), Fixation(-3.0, 7.0, 200.0, 400.0)]
+
+    def test_blank_line_has_no_fields(self, tmp_path):
+        with pytest.raises(ValueError, match=":3: expected 4 fields, got 0"):
+            self.read(tmp_path, "1,2,0,100\n\n3,4,100,200\n")
+
+    def test_wrong_field_count_cites_line(self, tmp_path):
+        with pytest.raises(ValueError, match=":2: expected 4 fields, got 5"):
+            self.read(tmp_path, "1,2,0,100,7\n")
+
+    def test_bad_header_cites_line_one(self, tmp_path):
+        with pytest.raises(ValueError, match=":1: bad fixation header"):
+            self.read(tmp_path, "1,2,0,100\n", header="cx,cy,start,end\n")
+
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_rejected(self, tmp_path, field, word):
+        row = ["1", "2", "0", "100"]
+        row[field] = word
+        name = gz.FIXATION_CSV_HEADER[field]
+        with pytest.raises(ValueError, match=rf"fixations\.csv:3: non-finite {name} '{word}'"):
+            self.read(tmp_path, "5,5,0,50\n" + ",".join(row) + "\n")
+
+    @pytest.mark.parametrize("row", ["nan,1,0,100", "1,2,inf,nan"])
+    def test_rows_the_csv_module_reader_accepted(self, tmp_path, row):
+        with pytest.raises(ValueError, match=":2: non-finite"):
+            self.read(tmp_path, row + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +648,8 @@ class TestIdtBitwise:
         rows = "".join(f"{i * 10.0},{x},{y},,1\n" for i, (x, y) in enumerate(
             [(5, 5), (6, 5), ("nan", 5), (5, 6), (5, 5), (90, 90), ("nan", "nan"), (91, 90),
              (90, 91)]))
-        stream = gz.read_gaze_csv(write_text(tmp_path, GAZE_HEADER_LINE + rows))
-        fixes = gz.detect_fixations(stream, 5.0, 20.0)
-        assert fixation_bits(fixes) == fixation_bits(idt_builtin_minmax(stream, 5.0, 20.0))
-        assert len(fixes) == 2 and math.isnan(fixes[0].cx_px)
+        with pytest.raises(ValueError, match=r":4: non-finite x_px 'nan'"):
+            gz.read_gaze_csv(write_text(tmp_path, GAZE_HEADER_LINE + rows))
 
 
 class TestMapFileHeaders:

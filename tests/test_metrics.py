@@ -2,6 +2,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gazedet import metrics as mt
 from gazedet.dataset import ClassLabel
@@ -264,3 +265,92 @@ class TestReport:
         data = json.loads(open(pj).read())
         assert data["classes"][0]["ap"] == 1.0
         assert "AP@[IoBB=0.50]" in open(pm).read()
+
+
+# ---------------------------------------------------------------------------
+# evaluate_detections against one match per metric (AP, AR, precision/recall)
+
+
+def three_match_rows(dets_by, gts_by, thresh, kind, max_dets):
+    """Per-class rows computed with a separate greedy match for AP, AR and P/R."""
+
+    def ap(dets, gts):
+        if len(gts) == 0:
+            return None
+        if len(dets) == 0:
+            return 0.0
+        m = mt.match_detections(dets, gts, thresh, kind)
+        tp = np.cumsum(m.det_is_tp.astype(np.float64))
+        fp = np.cumsum((~m.det_is_tp).astype(np.float64))
+        recall = tp / len(gts)
+        r = np.concatenate([[0.0], recall, [recall[-1]]])
+        p = np.concatenate([[0.0], tp / (tp + fp), [0.0]])
+        for i in range(len(p) - 2, -1, -1):
+            p[i] = max(p[i], p[i + 1])
+        return float(np.sum((r[1:] - r[:-1]) * p[1:]))
+
+    def ar(dets, gts):
+        if len(gts) == 0:
+            return None
+        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, tuple(dets[i].box), i))
+        m = mt.match_detections([dets[i] for i in order[:max_dets]], gts, thresh, kind)
+        return float(m.gt_matched.sum()) / len(gts)
+
+    def precision_recall(dets, gts):
+        if len(dets) == 0:
+            return 0.0, 0.0
+        tp = float(mt.match_detections(dets, gts, thresh, kind).det_is_tp.sum())
+        return tp / len(dets), tp / len(gts) if len(gts) else 0.0
+
+    rows = []
+    for c in ClassLabel:
+        dets, gts = dets_by.get(c, []), gts_by.get(c, [])
+        prec, rec = precision_recall(dets, gts)
+        rows.append({"ap": ap(dets, gts), "ar": ar(dets, gts), "precision": prec,
+                     "recall": rec, "n_gt": len(gts), "n_det": len(dets)})
+    return rows
+
+
+def outcome(fn):
+    try:
+        return "ok", repr(fn())
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# integer grid: equal boxes and equal overlaps are common; a side of 0 is rare
+GRID_XY = st.integers(0, 6).map(float)
+GRID_SIDE = st.sampled_from([0.0] + [1.0, 2.0, 3.0, 5.0] * 8)
+
+
+@st.composite
+def grid_box(draw):
+    x0, y0 = draw(GRID_XY), draw(GRID_XY)
+    return x0, y0, x0 + draw(GRID_SIDE), y0 + draw(GRID_SIDE)
+
+
+CLASS_CASES = st.dictionaries(
+    st.sampled_from(list(ClassLabel)),
+    st.tuples(
+        st.lists(st.builds(lambda b, s: det(*b, s), grid_box(),
+                           st.sampled_from([0.2, 0.5, 0.5, 0.9])), max_size=9),
+        st.lists(st.builds(lambda b: gt(*b), grid_box()), max_size=5),
+    ),
+)
+
+
+class TestOneMatchPerClass:
+    @given(CLASS_CASES, st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+           st.sampled_from(["iobb", "iou"]), st.sampled_from([1, 2, 5, 100]))
+    @settings(max_examples=400, deadline=None)
+    def test_rows_equal_three_match_rows(self, cases, thresh, kind, max_dets):
+        dets_by = {c: d for c, (d, _) in cases.items()}
+        gts_by = {c: g for c, (_, g) in cases.items()}
+
+        def rows():
+            report = mt.evaluate_detections(dets_by, gts_by, thresh, kind, max_dets)
+            return [{k: v for k, v in row.items() if k != "label"}
+                    for row in report.to_dict()["classes"]]
+
+        assert outcome(rows) == outcome(
+            lambda: three_match_rows(dets_by, gts_by, thresh, kind, max_dets))

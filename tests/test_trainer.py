@@ -5,6 +5,7 @@ import pytest
 
 from gazedet import dataset as ds
 from gazedet import trainer as tr
+from gazedet.autodiff import NumericsError
 from gazedet.dataset import SynthConfig
 from gazedet.detector import ModelConfig, load_checkpoint
 from gazedet.trainer import TrainConfig
@@ -75,6 +76,17 @@ class TestDeterminism:
                  str(tmp_path / "s1"))
         assert (tmp_path / "s0" / "loss_curve.csv").read_text() != \
                (tmp_path / "s1" / "loss_curve.csv").read_text()
+
+
+class TestDivergence:
+    def test_forward_pass_blow_up_names_the_step(self, tiny_readings, tmp_path):
+        # at this lr the first update stays finite and the next forward pass overflows
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(RuntimeError, match="training diverged at step 1") as info:
+            tr.train(tiny_model_cfg(), tiny_readings[:4], [], TrainConfig(epochs=1, lr=1e60),
+                     str(tmp_path / "run"))
+        assert isinstance(info.value.__cause__, NumericsError)
+        assert "conv2d output" in str(info.value)
 
 
 class TestEvaluate:

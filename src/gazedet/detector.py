@@ -29,7 +29,7 @@ from .dataset import ClassLabel, CLASS_NAMES, NAME_TO_CLASS, TargetBox
 from .fileio import atomic_write_text
 from .gaze import FixationMap
 
-CHECKPOINT_FORMAT = "gazedet-checkpoint-v1"
+CHECKPOINT_FORMAT = "gazedet-checkpoint-v2"
 
 
 @dataclass

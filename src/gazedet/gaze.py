@@ -191,9 +191,6 @@ def binarize(fmap: FixationMap, threshold: float) -> FixationMap:
 # file formats
 
 
-_VALID_FLAGS = {"0": False, "1": True}
-
-
 def _csv_fields(line: str) -> list[str]:
     """Fields of one line without its terminator; a blank line has none."""
     line = line.rstrip("\r\n")
@@ -230,7 +227,7 @@ def read_gaze_csv(path: str) -> list[GazeSample]:
     Any other line raises ValueError naming `path:line`."""
     samples: list[GazeSample] = []
     append = samples.append
-    flags = _VALID_FLAGS
+    flags = {"0": False, "1": True}
     isfinite = math.isfinite
     prev_t = -math.inf
     with _csv_body(path, GAZE_CSV_HEADER, "gaze") as body:
@@ -259,10 +256,13 @@ def read_gaze_csv(path: str) -> list[GazeSample]:
 
 
 def write_gaze_csv(path: str, samples: list[GazeSample]) -> None:
+    """Write nothing if a number is non-finite; raise the reader's error for its line."""
     lines = [",".join(GAZE_CSV_HEADER)]
-    for s in samples:
+    for lineno, s in enumerate(samples, start=2):
         pupil = repr(s.pupil_mm) if s.pupil_mm is not None else ""
         lines.append(f"{s.t_ms!r},{s.x_px!r},{s.y_px!r},{pupil},{1 if s.valid else 0}")
+        if not all(map(math.isfinite, (s.t_ms, s.x_px, s.y_px, s.pupil_mm or 0.0))):
+            raise _bad_row(path, lineno, lines[-1], GAZE_CSV_HEADER)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -289,9 +289,12 @@ def read_fixation_csv(path: str) -> list[Fixation]:
 
 
 def write_fixation_csv(path: str, fixations: list[Fixation]) -> None:
+    """Write nothing if a number is non-finite; raise the reader's error for its line."""
     lines = [",".join(FIXATION_CSV_HEADER)]
-    for f in fixations:
+    for lineno, f in enumerate(fixations, start=2):
         lines.append(f"{f.cx_px!r},{f.cy_px!r},{f.start_ms!r},{f.end_ms!r}")
+        if not all(map(math.isfinite, (f.cx_px, f.cy_px, f.start_ms, f.end_ms))):
+            raise _bad_row(path, lineno, lines[-1], FIXATION_CSV_HEADER)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -186,14 +186,13 @@ class MetricsReport:
         }
 
     def to_markdown(self) -> str:
-        fmt = format_cell
         lines = [
             f"| Abnormality | {self.ap_header()} | {self.ar_header()} |",
             "|---|---|---|",
         ]
         for r in self.rows:
-            lines.append(f"| {REPORT_CLASS_TITLES[r.label]} | {fmt(r.ap)} | {fmt(r.ar)} |")
-        lines.append(f"| Average | {fmt(self.average_ap)} | {fmt(self.average_ar)} |")
+            lines.append(f"| {REPORT_CLASS_TITLES[r.label]} | {format_cell(r.ap)} | {format_cell(r.ar)} |")
+        lines.append(f"| Average | {format_cell(self.average_ap)} | {format_cell(self.average_ar)} |")
         for w in self.warnings:
             lines.append(f"")
             lines.append(f"> warning: {w}")

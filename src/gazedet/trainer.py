@@ -233,17 +233,16 @@ def comparison_markdown(reports: dict[str, mx.MetricsReport]) -> str:
         for tag in tags
     )
     sep = "|---|" + "---|---|" * len(tags)
-    fmt = mx.format_cell
     lines = [header, sep]
     for i, row in enumerate(first.rows):
         cells = [REPORT_CLASS_TITLES[row.label]]
         for tag in tags:
             r = reports[tag].rows[i]
-            cells.extend([fmt(r.ap), fmt(r.ar)])
+            cells.extend([mx.format_cell(r.ap), mx.format_cell(r.ar)])
         lines.append("| " + " | ".join(cells) + " |")
     cells = ["Average"]
-    for tag in tags:
-        cells.extend([fmt(reports[tag].average_ap), fmt(reports[tag].average_ar)])
+    for rep in reports.values():
+        cells.extend([mx.format_cell(rep.average_ap), mx.format_cell(rep.average_ar)])
     lines.append("| " + " | ".join(cells) + " |")
     for tag in tags:
         for w in reports[tag].warnings:

@@ -312,6 +312,17 @@ class TestFileFormats:
         gz.write_fixation_csv(path, fixes)
         assert gz.read_fixation_csv(path) == fixes
 
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_fixation_writer_refuses_non_finite(self, tmp_path, field, value):
+        numbers = [10.5, 20.25, 0.0, 150.0]
+        numbers[field] = value
+        path = tmp_path / "fix.csv"
+        name = gz.FIXATION_CSV_HEADER[field]
+        with pytest.raises(ValueError, match=rf"fix\.csv:3: non-finite {name} '{value!r}'"):
+            gz.write_fixation_csv(str(path), [Fixation(1.0, 2.0, 0.0, 50.0), Fixation(*numbers)])
+        assert not path.exists()
+
     def test_pgm_round_trip_quantized(self, tmp_path):
         path = str(tmp_path / "map.pgm")
         rng = np.random.default_rng(1)
@@ -482,16 +493,20 @@ class TestGazeCsvReader:
         assert len(lf) == 2
 
     @given(st.lists(st.tuples(
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)), st.booleans(),
+        st.floats(allow_nan=False), st.floats(allow_nan=False),
+        st.one_of(st.none(), st.floats(allow_nan=False)), st.booleans(),
     ), max_size=20), st.sets(st.floats(0, 1e12), max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_write_read_round_trip(self, tmp_path_factory, rows, times):
         stream = [GazeSample(t, x, y, p, v) for t, (x, y, p, v) in zip(sorted(times), rows)]
-        path = str(tmp_path_factory.mktemp("rt") / "gaze.csv")
-        gz.write_gaze_csv(path, stream)
-        assert gz.read_gaze_csv(path) == stream
+        path = tmp_path_factory.mktemp("rt") / "gaze.csv"
+        if all(math.isfinite(v) for s in stream for v in (s.x_px, s.y_px, s.pupil_mm or 0.0)):
+            gz.write_gaze_csv(str(path), stream)
+            assert gz.read_gaze_csv(str(path)) == stream
+        else:
+            with pytest.raises(ValueError, match=r"gaze\.csv:\d+: non-finite"):
+                gz.write_gaze_csv(str(path), stream)
+            assert not path.exists()
 
     @given(gaze_csv_texts())
     @settings(max_examples=150, deadline=None)
@@ -507,11 +522,6 @@ class TestGazeCsvReader:
         path = write_text(tmp_path, GAZE_HEADER_LINE + "0.0,1,1,,1\n" + ",".join(row) + "\n")
         name = gz.GAZE_CSV_HEADER[field]
         with pytest.raises(ValueError, match=rf"gaze\.csv:3: non-finite {name} '{word}'"):
-            gz.read_gaze_csv(path)
-
-    def test_nan_timestamp_cannot_reset_time(self, tmp_path):
-        path = write_text(tmp_path, GAZE_HEADER_LINE + "10,1,1,,1\nnan,1,1,,1\n5,1,1,,1\n")
-        with pytest.raises(ValueError, match=":3: non-finite t_ms 'nan'"):
             gz.read_gaze_csv(path)
 
 
@@ -555,11 +565,6 @@ class TestFixationCsvReader:
         name = gz.FIXATION_CSV_HEADER[field]
         with pytest.raises(ValueError, match=rf"fixations\.csv:3: non-finite {name} '{word}'"):
             self.read(tmp_path, "5,5,0,50\n" + ",".join(row) + "\n")
-
-    @pytest.mark.parametrize("row", ["nan,1,0,100", "1,2,inf,nan"])
-    def test_rows_the_csv_module_reader_accepted(self, tmp_path, row):
-        with pytest.raises(ValueError, match=":2: non-finite"):
-            self.read(tmp_path, row + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -345,8 +345,8 @@ def transpose(x: Tensor, axes: tuple) -> Tensor:
 
 def flatten(x: Tensor, start_dim: int = 1) -> Tensor:
     shape = x.data.shape
-    new_shape = shape[:start_dim] + (-1,)
-    out_data = x.data.reshape(new_shape)
+    # the trailing size is spelled out: numpy cannot infer -1 for zero rows
+    out_data = x.data.reshape(shape[:start_dim] + (int(np.prod(shape[start_dim:])),))
 
     def backward(g):
         if x.tracked:

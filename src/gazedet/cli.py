@@ -22,7 +22,7 @@ from .autodiff import NumericsError
 from .detector import (
     ModelConfig,
     load_checkpoint,
-    predictions_from_json,
+    load_predictions,
     save_predictions,
 )
 from .gradchecks import run_gradcheck_suite
@@ -100,8 +100,12 @@ def cmd_synth(args, seed: int) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     readings = ds.synth_generate(cfg, seed)
-    train, val, test = ds.split(readings, (args.train_frac, args.val_frac,
-                                           1.0 - args.train_frac - args.val_frac), seed)
+    try:
+        train, val, test = ds.split(readings, (args.train_frac, args.val_frac,
+                                               1.0 - args.train_frac - args.val_frac), seed)
+    except ValueError as exc:
+        raise CliError(f"--train-frac {args.train_frac} --val-frac {args.val_frac}: "
+                       f"{exc}") from exc
     splits = {r.id: "train" for r in train}
     splits.update({r.id: "val" for r in val})
     splits.update({r.id: "test" for r in test})
@@ -113,7 +117,10 @@ def cmd_synth(args, seed: int) -> int:
 
 def cmd_fixations(args, seed: int) -> int:
     samples = gz.read_gaze_csv(args.gaze)
-    if args.width and args.height:
+    if args.width or args.height:
+        if args.width <= 0 or args.height <= 0:
+            raise CliError("--width and --height go together and must be positive, "
+                           f"got --width {args.width} --height {args.height}")
         samples = gz.filter_gaze(samples, args.width, args.height, args.margin)
     fixations = gz.detect_fixations(samples, args.dispersion, args.min_dur)
     gz.write_fixation_csv(args.out, fixations)
@@ -188,11 +195,14 @@ def cmd_gradcheck(args, seed: int) -> int:
 
 
 def cmd_report(args, seed: int) -> int:
-    with open(args.predictions) as fh:
-        dets = predictions_from_json(json.load(fh))
+    dets = load_predictions(args.predictions)
     readings = ds.load_dataset(args.dataset, args.split)
     if not readings:
         raise CliError(f"dataset split {args.split!r} is empty")
+    unknown = sorted(set(dets) - {r.id for r in readings})
+    if unknown:
+        raise CliError(f"{args.predictions}: reading ids not in split {args.split!r}: "
+                       f"{unknown}")
     _write_report(args, dets, readings, os.path.basename(args.predictions))
     return 0
 

@@ -99,12 +99,18 @@ class Reading:
         return self.image.shape[1]
 
 
+def _check_in_frame(e: EllipseAnnotation, img_w: int, img_h: int, where: str = "") -> None:
+    """Reject only fully out-of-frame geometry; partial overlap clamps."""
+    if e.cx + e.rx <= 0 or e.cy + e.ry <= 0 or e.cx - e.rx >= img_w or e.cy - e.ry >= img_h:
+        raise ValueError(f"{where}ellipse at ({e.cx}, {e.cy}) lies entirely "
+                         f"outside {img_w}x{img_h}")
+
+
 def ellipse_to_target(e: EllipseAnnotation, img_w: int, img_h: int) -> TargetBox:
     """Axis-aligned extent box plus a pixel-center rasterized interior mask."""
+    _check_in_frame(e, img_w, img_h)
     x0, x1 = e.cx - e.rx, e.cx + e.rx
     y0, y1 = e.cy - e.ry, e.cy + e.ry
-    if x1 <= 0 or y1 <= 0 or x0 >= img_w or y0 >= img_h:
-        raise ValueError(f"ellipse at ({e.cx}, {e.cy}) lies entirely outside {img_w}x{img_h}")
     xs = (np.arange(img_w) + 0.5 - e.cx) / e.rx
     ys = (np.arange(img_h) + 0.5 - e.cy) / e.ry
     mask = (xs[None, :] ** 2 + ys[:, None] ** 2 <= 1.0).astype(np.uint8)
@@ -155,9 +161,7 @@ def load_reading(path: str) -> Reading:
     ]
     h, w = image.shape
     for i, a in enumerate(annotations):
-        # reject only fully out-of-frame geometry; partial overlap clamps later
-        if a.cx + a.rx <= 0 or a.cy + a.ry <= 0 or a.cx - a.rx >= w or a.cy - a.ry >= h:
-            raise ValueError(f"{ann_path}[{i}]: ellipse outside the image")
+        _check_in_frame(a, w, h, f"{ann_path}[{i}]: ")
 
     gaze_path = os.path.join(path, "gaze.csv")
     fix_path = os.path.join(path, "fixations.csv")
@@ -234,11 +238,6 @@ class SynthConfig:
     )
     lesions_min: int = 1
     lesions_max: int = 2
-    # per-sample dwell jitter at img_size 64; scaled with img_size so the
-    # jitter-to-dispersion-threshold ratio (and hence fixation detection
-    # behavior) is the same at every image size
-    gaze_noise_px: float = 0.5
-    background: float = 0.05
 
     def __post_init__(self):
         if self.img_size < 32:
@@ -261,6 +260,11 @@ _CLASS_PRIORS = {
 
 _DWELL_MS = 600.0
 _DT_MS = 10.0
+# per-sample dwell jitter at img_size 64; scaled with img_size so the
+# jitter-to-dispersion-threshold ratio (and hence fixation detection
+# behavior) is the same at every image size
+_GAZE_NOISE_PX = 0.5
+_BACKGROUND = 0.05
 
 
 def _plant_lesions(rng: np.random.Generator, cfg: SynthConfig) -> list[EllipseAnnotation]:
@@ -287,7 +291,7 @@ def _plant_lesions(rng: np.random.Generator, cfg: SynthConfig) -> list[EllipseAn
 
 def _render_image(rng: np.random.Generator, cfg: SynthConfig,
                   lesions: list[EllipseAnnotation]) -> np.ndarray:
-    img = cfg.background + rng.uniform(0.0, 0.04, size=(cfg.img_size, cfg.img_size))
+    img = _BACKGROUND + rng.uniform(0.0, 0.04, size=(cfg.img_size, cfg.img_size))
     for e in lesions:
         intensity, _, _ = _CLASS_PRIORS[e.label]
         tgt = ellipse_to_target(e, cfg.img_size, cfg.img_size)
@@ -343,7 +347,7 @@ def _synth_gaze(rng, cfg: SynthConfig, lesions: list[EllipseAnnotation]) -> list
         sweep = _saccade(rng, t, pos, stop)
         samples.extend(sweep)
         t = sweep[-1].t_ms + _DT_MS
-        noise = cfg.gaze_noise_px * cfg.img_size / 64.0
+        noise = _GAZE_NOISE_PX * cfg.img_size / 64.0
         dwell = _dwell(rng, t, stop[0], stop[1], noise, n_dwell)
         samples.extend(dwell)
         t = dwell[-1].t_ms + _DT_MS
@@ -374,6 +378,8 @@ def split(
     """Deterministic shuffled partition into train/val/test."""
     if not readings:
         raise ValueError("cannot split an empty reading list")
+    if min(ratios) < 0:
+        raise ValueError(f"split ratios must be non-negative, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
     order = np.random.default_rng(seed).permutation(len(readings))

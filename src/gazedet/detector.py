@@ -17,6 +17,7 @@ on the ground-truth class channel only.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
@@ -105,14 +106,13 @@ class LossBreakdown:
 
 @dataclass
 class DetectorOutput:
-    feat: Tensor
     anchors: np.ndarray
     rpn_obj: Tensor  # (n_anchors,)
     rpn_deltas: Tensor  # (n_anchors, 4)
-    proposals: np.ndarray  # (R, 4)
-    cls_logits: Tensor | None  # (R, n_classes + 1)
-    box_deltas: Tensor | None  # (R, 4)
-    mask_logits: Tensor | None  # (R, n_classes, roi, roi)
+    proposals: np.ndarray  # (R, 4), R may be 0
+    cls_logits: Tensor  # (R, n_classes + 1)
+    box_deltas: Tensor  # (R, 4)
+    mask_logits: Tensor  # (R, n_classes, roi, roi)
     detections: list[Detection] | None = None
 
 
@@ -146,8 +146,6 @@ def roi_align(feat: Tensor, rois: np.ndarray, stride: int, out_size: int) -> Ten
     if n != 1:
         raise ad.ShapeError(f"roi_align expects batch 1, got {feat.data.shape}")
     r = len(rois)
-    if r == 0:
-        return Tensor(np.zeros((0, c, out_size, out_size)))
     if np.any(rois[:, 2] <= rois[:, 0]) or np.any(rois[:, 3] <= rois[:, 1]):
         raise ValueError("roi_align given a degenerate (zero-area) box")
 
@@ -293,11 +291,6 @@ class DetectorModel:
         if mode == "train" and gt_boxes is not None and len(gt_boxes):
             proposals = np.concatenate([proposals, np.asarray(gt_boxes, dtype=np.float64)])
 
-        if len(proposals) == 0:
-            return DetectorOutput(feat, self._anchors, rpn_obj, rpn_deltas,
-                                  proposals, None, None, None,
-                                  [] if mode == "infer" else None)
-
         pooled = roi_align(feat, proposals, cfg.feat_stride, cfg.roi_size)
         flat = ad.flatten(pooled)
         h1 = ad.relu(ad.linear(flat, self.params["fc1"]))
@@ -306,7 +299,7 @@ class DetectorModel:
         m = ad.relu(ad.conv2d(pooled, self.params["mask_conv"], stride=1, pad=1))
         mask_logits = ad.conv2d(m, self.params["mask_out"])
 
-        out = DetectorOutput(feat, self._anchors, rpn_obj, rpn_deltas, proposals,
+        out = DetectorOutput(self._anchors, rpn_obj, rpn_deltas, proposals,
                              cls_logits, box_deltas, mask_logits)
         if mode == "infer":
             out.detections = self._postprocess(out)
@@ -314,14 +307,10 @@ class DetectorModel:
 
     def _select_proposals(self, obj_logits: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         cfg = self.config
-        if cfg.post_nms_top == 0:
-            return np.zeros((0, 4))
         decoded = bx.decode_boxes(self._anchors, deltas, cfg.img_size)
         valid = (decoded[:, 2] - decoded[:, 0] >= 1.0) & (decoded[:, 3] - decoded[:, 1] >= 1.0)
         decoded = decoded[valid]
         scores = obj_logits[valid]
-        if len(decoded) == 0:
-            return np.zeros((0, 4))
         order = np.argsort(-scores, kind="stable")[: cfg.pre_nms_top]
         decoded, scores = decoded[order], scores[order]
         keep = bx.nms(decoded, scores, cfg.rpn_nms_thresh)[: cfg.post_nms_top]
@@ -410,7 +399,7 @@ def compute_loss(out: DetectorOutput, targets: list[TargetBox], config: ModelCon
                  rng: np.random.Generator) -> LossBreakdown:
     """Total loss = classification + bbox + mask (exact float sum)."""
     zero = Tensor(0.0)
-    gt = np.stack([t.xyxy for t in targets]) if targets else np.zeros((0, 4))
+    gt = _gt_boxes(targets)
 
     # RPN objectness + regression on anchors
     rpn_assign = assign_targets(out.anchors, targets, config.rpn_fg_thresh,
@@ -431,31 +420,29 @@ def compute_loss(out: DetectorOutput, targets: list[TargetBox], config: ModelCon
 
     # head terms over sampled proposals
     head_ce = head_box = mask_loss = zero
-    if out.cls_logits is not None and len(out.proposals):
-        head_assign = assign_targets(out.proposals, targets, config.head_fg_thresh,
-                                     config.head_bg_thresh, force_best=False)
-        hsamp = _sample_balanced(head_assign.labels, config.proposals_per_step,
-                                 config.pos_fraction, rng)
-        if len(hsamp):
-            cls_targets = np.zeros(len(hsamp), dtype=np.int64)
-            for k, i in enumerate(hsamp):
-                if head_assign.labels[i] == 1:
-                    cls_targets[k] = int(targets[head_assign.matched[i]].label) + 1
-            head_ce = ad.softmax_cross_entropy(
-                ad.gather_rows(out.cls_logits, hsamp), cls_targets
-            )
-            pos_p = hsamp[head_assign.labels[hsamp] == 1]
-            if len(pos_p):
-                reg_t = bx.encode_boxes(out.proposals[pos_p], gt[head_assign.matched[pos_p]])
-                head_box = ad.smooth_l1(ad.gather_rows(out.box_deltas, pos_p), reg_t)
-                mt = np.stack([
-                    _mask_target(targets[head_assign.matched[i]].mask,
-                                 out.proposals[i], config.roi_size)
-                    for i in pos_p
-                ])
-                gt_cls = np.array([int(targets[head_assign.matched[i]].label) for i in pos_p])
-                sel = ad.take_channel_per_row(ad.gather_rows(out.mask_logits, pos_p), gt_cls)
-                mask_loss = ad.bce_with_logits(sel, mt)
+    head_assign = assign_targets(out.proposals, targets, config.head_fg_thresh,
+                                 config.head_bg_thresh, force_best=False)
+    hsamp = _sample_balanced(head_assign.labels, config.proposals_per_step,
+                             config.pos_fraction, rng)
+    if len(hsamp):
+        # class index + 1 per target; the trailing 0 is what matched == -1 picks
+        cls_of = np.array([int(t.label) + 1 for t in targets] + [0], dtype=np.int64)
+        matched = head_assign.matched[hsamp]
+        head_ce = ad.softmax_cross_entropy(
+            ad.gather_rows(out.cls_logits, hsamp), cls_of[matched]
+        )
+        is_pos = matched >= 0
+        pos_p, pos_gt = hsamp[is_pos], matched[is_pos]
+        if len(pos_p):
+            reg_t = bx.encode_boxes(out.proposals[pos_p], gt[pos_gt])
+            head_box = ad.smooth_l1(ad.gather_rows(out.box_deltas, pos_p), reg_t)
+            mt = np.stack([
+                _mask_target(targets[g].mask, out.proposals[i], config.roi_size)
+                for i, g in zip(pos_p, pos_gt)
+            ])
+            sel = ad.take_channel_per_row(ad.gather_rows(out.mask_logits, pos_p),
+                                          cls_of[pos_gt] - 1)
+            mask_loss = ad.bce_with_logits(sel, mt)
 
     cls_t = rpn_cls + head_ce
     box_t = rpn_box + head_box
@@ -464,6 +451,18 @@ def compute_loss(out: DetectorOutput, targets: list[TargetBox], config: ModelCon
         classification=c, bbox=b, mask=mval, total=c + b + mval,
         tensor=cls_t + box_t + mask_loss,
     )
+
+
+def _gt_boxes(targets: list[TargetBox]) -> np.ndarray:
+    return np.stack([t.xyxy for t in targets]) if targets else np.zeros((0, 4))
+
+
+def train_loss(model: DetectorModel, image, fmap, targets: list[TargetBox],
+               rng: np.random.Generator) -> LossBreakdown:
+    """The training loss recipe: train-mode forward pass with the ground-truth
+    boxes appended to the proposals, then ``compute_loss``."""
+    out = model.forward(image, fmap, mode="train", gt_boxes=_gt_boxes(targets))
+    return compute_loss(out, targets, model.config, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -529,17 +528,57 @@ def predictions_to_json(dets_by_reading: dict[str, list[Detection]]) -> list[dic
     return rows
 
 
+def _finite(v) -> bool:
+    """A JSON number (not a bool) that is a finite float."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
 def predictions_from_json(rows: list[dict], roi_size: int = 7) -> dict[str, list[Detection]]:
+    """Detections per reading from the rows of a predictions file.
+
+    A row is an object with a string ``reading_id``, a ``box`` of four
+    finite numbers with x0 < x1 and y0 < y1, a known class ``label`` and a
+    finite ``score`` in [0, 1]. Anything else raises ValueError naming the
+    row, the field and the value.
+    """
+    if not isinstance(rows, list):
+        raise ValueError(f"expected a JSON list of rows, got {type(rows).__name__}")
     out: dict[str, list[Detection]] = {}
-    for row in rows:
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"row {i}: expected an object, got {row!r}")
+        missing = [k for k in ("reading_id", "box", "label", "score") if k not in row]
+        if missing:
+            raise ValueError(f"row {i}: missing fields {missing}")
+        rid, box, label, score = row["reading_id"], row["box"], row["label"], row["score"]
+        if not isinstance(rid, str):
+            raise ValueError(f"row {i}: reading_id {rid!r} is not a string")
+        if not (isinstance(box, list) and len(box) == 4 and all(map(_finite, box))
+                and box[0] < box[2] and box[1] < box[3]):
+            raise ValueError(f"row {i}: box {box!r} is not four finite numbers "
+                             "with x0 < x1 and y0 < y1")
+        if label not in CLASS_NAMES.values():
+            raise ValueError(f"row {i}: label {label!r} is not one of "
+                             f"{sorted(NAME_TO_CLASS)}")
+        if not (_finite(score) and 0.0 <= score <= 1.0):
+            raise ValueError(f"row {i}: score {score!r} is not a finite number in [0, 1]")
         det = Detection(
-            box=np.asarray(row["box"], dtype=np.float64),
-            label=NAME_TO_CLASS[row["label"]],
-            score=float(row["score"]),
+            box=np.asarray(box, dtype=np.float64),
+            label=NAME_TO_CLASS[label],
+            score=float(score),
             mask=np.zeros((roi_size, roi_size)),
         )
-        out.setdefault(row["reading_id"], []).append(det)
+        out.setdefault(rid, []).append(det)
     return out
+
+
+def load_predictions(path: str) -> dict[str, list[Detection]]:
+    """Read a file written by ``save_predictions``; errors name the file."""
+    try:
+        with open(path) as fh:
+            return predictions_from_json(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_predictions(path: str, dets_by_reading: dict[str, list[Detection]]) -> None:

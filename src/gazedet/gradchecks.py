@@ -18,6 +18,7 @@ from .autodiff import Tensor, grad_check
 from .dataset import ClassLabel, EllipseAnnotation, ellipse_to_target
 
 TOLERANCE = 1e-4
+E2E_SEEDS = 3  # end-to-end checks are slow; a few seeds cover the loss recipe
 
 
 def _rand(rng, *shape, lo=-2.0, hi=2.0):
@@ -152,22 +153,17 @@ def check_end_to_end(seed: int) -> float:
     ann = EllipseAnnotation(cx=14.0, cy=17.0, rx=6.0, ry=5.0,
                             label=ClassLabel.ATELECTASIS)
     targets = [ellipse_to_target(ann, 32, 32)]
-    gt = np.stack([t.xyxy for t in targets])
-    loss_rng_seed = [seed, 11]
 
     def loss_fn(*_params):
-        out = model.forward(image, fmap, mode="train", gt_boxes=gt)
-        loss = dt.compute_loss(out, targets, cfg,
-                               np.random.default_rng(loss_rng_seed))
-        return loss.tensor
+        return dt.train_loss(model, image, fmap, targets,
+                             np.random.default_rng([seed, 11])).tensor
 
     tensors = [t for p in model.param_list() for t in p.tensors()]
     return grad_check(loss_fn, tensors)
 
 
 def run_gradcheck_suite(n_seeds: int = 20, base_seed: int = 0,
-                        include_end_to_end: bool = True,
-                        n_e2e_seeds: int = 3, log=None) -> list[tuple[str, float]]:
+                        include_end_to_end: bool = True, log=None) -> list[tuple[str, float]]:
     """Run all checks; returns (name, max relative error) per op."""
     results = []
     for name, fn in OP_CHECKS:
@@ -176,7 +172,7 @@ def run_gradcheck_suite(n_seeds: int = 20, base_seed: int = 0,
         if log:
             log(f"gradcheck {name}: max rel err {worst:.3e}")
     if include_end_to_end:
-        worst = max(check_end_to_end(base_seed * 1000 + s) for s in range(n_e2e_seeds))
+        worst = max(check_end_to_end(base_seed * 1000 + s) for s in range(E2E_SEEDS))
         results.append(("end_to_end_loss", worst))
         if log:
             log(f"gradcheck end_to_end_loss: max rel err {worst:.3e}")

@@ -22,10 +22,10 @@ from .detector import (
     DetectorModel,
     LossBreakdown,
     ModelConfig,
-    compute_loss,
     load_checkpoint,
     save_checkpoint,
     save_predictions,
+    train_loss,
 )
 from .fileio import atomic_write_text
 
@@ -99,12 +99,9 @@ def _inputs_for(reading: Reading, model_cfg: ModelConfig):
 
 def _reading_loss(model: DetectorModel, reading: Reading, model_cfg: ModelConfig,
                   rng: np.random.Generator) -> LossBreakdown:
-    """Train-mode forward pass and loss of one reading."""
+    """Training loss of one reading."""
     image, fmap = _inputs_for(reading, model_cfg)
-    targets = reading_targets(reading)
-    gt = np.stack([t.xyxy for t in targets]) if targets else None
-    out = model.forward(image, fmap, mode="train", gt_boxes=gt)
-    return compute_loss(out, targets, model_cfg, rng)
+    return train_loss(model, image, fmap, reading_targets(reading), rng)
 
 
 def _epoch_val_loss(model, readings, model_cfg, seed, epoch) -> float:
@@ -164,21 +161,18 @@ def infer_dataset(model: DetectorModel, readings: list[Reading]):
 
 
 def evaluate(model_or_path, readings: list[Reading], thresh: float = 0.5,
-             kind: str = "iobb", max_dets: int = 100,
-             model_tag: str = "model") -> mx.MetricsReport:
+             kind: str = "iobb", model_tag: str = "model") -> mx.MetricsReport:
     """Inference over readings, class-partitioned AP/AR report."""
     if not readings:
         raise ValueError("cannot evaluate on an empty reading list")
     model = model_or_path if isinstance(model_or_path, DetectorModel) \
         else load_checkpoint(model_or_path)
     dets_by_reading = infer_dataset(model, readings)
-    return report_from_detections(dets_by_reading, readings, thresh, kind,
-                                  max_dets, model_tag)
+    return report_from_detections(dets_by_reading, readings, thresh, kind, model_tag)
 
 
 def report_from_detections(dets_by_reading: dict, readings: list[Reading],
                            thresh: float = 0.5, kind: str = "iobb",
-                           max_dets: int = 100,
                            model_tag: str = "model") -> mx.MetricsReport:
     dets_by_class: dict[ClassLabel, list] = {c: [] for c in ClassLabel}
     gts_by_class: dict[ClassLabel, list] = {c: [] for c in ClassLabel}
@@ -188,7 +182,7 @@ def report_from_detections(dets_by_reading: dict, readings: list[Reading],
         for t in reading_targets(reading):
             gts_by_class[t.label].append(t)
     return mx.evaluate_detections(
-        dets_by_class, gts_by_class, thresh, kind, max_dets,
+        dets_by_class, gts_by_class, thresh, kind,
         metadata={"model": model_tag, "n_readings": len(readings)},
     )
 

@@ -170,3 +170,52 @@ class TestTrainEvalRoundTrip:
         code, _, stderr = run(capsys, command, "--dataset", str(tmp_path / "d"),
                               "--out", str(tmp_path / "o"), "--size", "128")
         assert code == 1 and "--size" in stderr
+
+
+class TestInputChecks:
+    @pytest.fixture
+    def dataset(self, capsys, tmp_path):
+        data = str(tmp_path / "data")
+        code, _, err = run(capsys, "synth", "--out", data, "--n", "4", "--size", "32",
+                           "--seed", "0", "--train-frac", "0.5", "--val-frac", "0.25")
+        assert code == 0, err
+        return data
+
+    ROW = '{"reading_id": "%s", "box": [1, 2, 3, 4], "label": "%s", "score": %s}'
+
+    @pytest.mark.parametrize("text, needles", [
+        ("[" + ROW % ("r9999", "Atelectasis", "0.5") + "]", ["r9999", "split 'test'"]),
+        ("[" + ROW % ("r0000", "Foo", "0.5") + "]", ["row 0", "label", "'Foo'"]),
+        ('{"rows": []}', ["list", "dict"]),
+        ("[" + ROW % ("r0000", "Atelectasis", "NaN") + "]", ["row 0", "score", "nan"]),
+    ], ids=["unknown_reading", "unknown_label", "object_not_list", "nan_score"])
+    def test_report_rejects_bad_predictions(self, capsys, tmp_path, dataset, text, needles):
+        preds = tmp_path / "predictions.json"
+        preds.write_text(text)
+        code, _, stderr = run(capsys, "report", "--predictions", str(preds),
+                              "--dataset", dataset, "--out", str(tmp_path / "rep"))
+        assert code == 1
+        for needle in [str(preds)] + needles:
+            assert needle in stderr
+        assert not (tmp_path / "rep").exists()
+
+    def test_synth_rejects_negative_ratio(self, capsys, tmp_path):
+        out = tmp_path / "d"
+        code, _, stderr = run(capsys, "synth", "--out", str(out), "--n", "10",
+                              "--train-frac", "0.9", "--val-frac", "0.3")
+        assert code == 1
+        assert "--train-frac 0.9" in stderr and "--val-frac 0.3" in stderr
+        assert "-0.2" in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", [["--width", "512"], ["--height", "512"],
+                                      ["--width", "-5", "--height", "5"]],
+                             ids=["width_only", "height_only", "negative_width"])
+    def test_fixations_needs_both_sizes(self, capsys, tmp_path, size):
+        gaze = str(tmp_path / "gaze.csv")
+        gz.write_gaze_csv(gaze, [GazeSample(i * 10.0, 10.0, 10.0) for i in range(10)])
+        out = tmp_path / "f.csv"
+        code, _, stderr = run(capsys, "fixations", "--gaze", gaze, "--out", str(out), *size)
+        assert code == 1
+        assert "--width" in stderr and "--height" in stderr and size[1] in stderr
+        assert not out.exists()

@@ -112,6 +112,16 @@ class TestLoadReading:
         reading = ds.load_reading(rdir)
         assert reading.fixations is not None and len(reading.fixations) == 1
 
+    def test_out_of_frame_ellipse_names_annotation(self, tmp_path):
+        ann = json.dumps([
+            {"cx": 30, "cy": 30, "rx": 5, "ry": 4, "label": "Atelectasis"},
+            {"cx": 70.5, "cy": 10, "rx": 5, "ry": 4, "label": "Atelectasis"},
+        ])
+        with pytest.raises(ValueError) as info:
+            ds.load_reading(self._write_reading(tmp_path, ann))
+        msg = str(info.value)
+        assert "annotations.json[1]" in msg and "(70.5, 10.0)" in msg and "64x64" in msg
+
 
 class TestSynthGenerate:
     def test_deterministic(self):
@@ -196,3 +206,7 @@ class TestSplit:
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):
             ds.split([], (0.8, 0.1, 0.1), 0)
+
+    def test_negative_ratio_rejected(self):
+        with pytest.raises(ValueError, match=r"non-negative.*\(0\.9, 0\.3, -0\.2\)"):
+            ds.split(self._readings(10), (0.9, 0.3, -0.2), 0)

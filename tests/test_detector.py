@@ -346,3 +346,33 @@ class TestCheckpoint:
         d = back["r0001"][0]
         assert np.array_equal(d.box, [1.0, 2.0, 3.0, 4.0])
         assert d.label is ClassLabel.CONSOLIDATION and d.score == 0.75
+
+
+class TestZeroProposals:
+    """post_nms_top=0 with no targets gives the heads a zero-row batch."""
+
+    def test_infer_heads_have_zero_rows(self):
+        cfg = small_config(post_nms_top=0)
+        image = np.random.default_rng(11).uniform(size=(64, 64))
+        out = DetectorModel(cfg).forward(image, mode="infer")
+        assert out.detections == []
+        assert out.proposals.shape == (0, 4)
+        assert out.cls_logits.data.shape == (0, cfg.n_classes + 1)
+        assert out.box_deltas.data.shape == (0, 4)
+        assert out.mask_logits.data.shape == (0, cfg.n_classes, cfg.roi_size, cfg.roi_size)
+
+    def test_train_step_leaves_heads_unchanged(self):
+        model = DetectorModel(small_config(post_nms_top=0))
+        heads = ("fc1", "cls", "box", "mask_conv", "mask_out")
+        before = {n: [t.data.copy() for t in model.params[n].tensors()] for n in heads}
+        rpn_before = model.params["rpn_obj"].weights.data.copy()
+        image = np.random.default_rng(12).uniform(size=(64, 64))
+        loss = dt.train_loss(model, image, None, [], np.random.default_rng(0))
+        assert loss.bbox == 0.0 and loss.mask == 0.0 and loss.classification > 0.0
+        loss.tensor.backward()
+        ad.sgd_step(model.param_list(), 0.01, 0.9)
+        for n in heads:
+            for old, t in zip(before[n], model.params[n].tensors()):
+                assert np.array_equal(old, t.data), n
+        # the RPN objectness term did train
+        assert not np.array_equal(rpn_before, model.params["rpn_obj"].weights.data)

@@ -16,6 +16,7 @@ import sys
 
 from . import dataset as ds
 from . import gaze as gz
+from . import gradchecks
 from . import metrics as mx
 from . import trainer as tr
 from .autodiff import NumericsError
@@ -25,7 +26,6 @@ from .detector import (
     load_predictions,
     save_predictions,
 )
-from .gradchecks import run_gradcheck_suite
 
 
 class CliError(Exception):
@@ -99,16 +99,16 @@ def cmd_synth(args, seed: int) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    readings = ds.synth_generate(cfg, seed)
-    try:
-        train, val, test = ds.split(readings, (args.train_frac, args.val_frac,
-                                               1.0 - args.train_frac - args.val_frac), seed)
+    try:  # split the indices first, so bad ratios fail before any rendering
+        train, val, test = ds.split(list(range(args.n)), (
+            args.train_frac, args.val_frac, 1.0 - args.train_frac - args.val_frac), seed)
     except ValueError as exc:
         raise CliError(f"--train-frac {args.train_frac} --val-frac {args.val_frac}: "
                        f"{exc}") from exc
-    splits = {r.id: "train" for r in train}
-    splits.update({r.id: "val" for r in val})
-    splits.update({r.id: "test" for r in test})
+    readings = ds.synth_generate(cfg, seed)
+    splits = {readings[i].id: name
+              for name, part in (("train", train), ("val", val), ("test", test))
+              for i in part}
     ds.save_dataset(args.out, readings, splits)
     print(f"wrote {len(readings)} readings to {args.out} "
           f"(train {len(train)}, val {len(val)}, test {len(test)})")
@@ -185,11 +185,11 @@ def cmd_compare(args, seed: int) -> int:
 
 
 def cmd_gradcheck(args, seed: int) -> int:
-    results = run_gradcheck_suite(n_seeds=args.seeds, base_seed=seed,
-                                  include_end_to_end=not args.skip_e2e,
-                                  log=print)
+    results = gradchecks.run_gradcheck_suite(n_seeds=args.seeds, base_seed=seed,
+                                             include_end_to_end=not args.skip_e2e,
+                                             log=print)
     worst = max(err for _, err in results)
-    ok = worst < 1e-4
+    ok = worst < gradchecks.TOLERANCE
     print(f"worst relative error {worst:.3e}: {'OK' if ok else 'FAIL'}")
     return 0 if ok else 2
 

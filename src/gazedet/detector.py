@@ -16,7 +16,9 @@ on the ground-truth class channel only.
 
 from __future__ import annotations
 
+import base64
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
@@ -30,7 +32,7 @@ from .dataset import ClassLabel, CLASS_NAMES, NAME_TO_CLASS, TargetBox
 from .fileio import atomic_write_text
 from .gaze import FixationMap
 
-CHECKPOINT_FORMAT = "gazedet-checkpoint-v2"
+CHECKPOINT_FORMAT = "gazedet-checkpoint-v3"
 
 
 @dataclass
@@ -469,16 +471,53 @@ def train_loss(model: DetectorModel, image, fmap, targets: list[TargetBox],
 # checkpoints and prediction files
 
 
+def _encode_array(a: np.ndarray) -> dict:
+    """An array as its shape and its little-endian float64 bytes in base64."""
+    raw = a.astype("<f8", copy=False).tobytes()
+    return {"shape": list(a.shape), "f64_base64": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_array(entry, shape: tuple, where: str) -> np.ndarray:
+    """The owned, writable float64 array of an ``_encode_array`` entry.
+
+    Raises ValueError, prefixed with ``where``, on a shape other than
+    ``shape``, text outside the base64 alphabet, a byte count other than
+    ``8 * prod(shape)`` or a non-finite value.
+    """
+    if not isinstance(entry, dict) or entry.get("shape") != list(shape):
+        got = entry.get("shape") if isinstance(entry, dict) else entry
+        raise ValueError(f"{where}: shape {got!r}, the model's layer has {list(shape)}")
+    text = entry.get("f64_base64")
+    if not isinstance(text, str):
+        raise ValueError(f"{where}: f64_base64 is {type(text).__name__}, not base64 text")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII str
+        bad = re.search(r"[^A-Za-z0-9+/=]", text)
+        detail = f"character {bad.group()!r} at offset {bad.start()}" if bad else exc
+        raise ValueError(f"{where}: f64_base64 is not base64 text: {detail}") from exc
+    want = 8 * int(np.prod(shape))
+    if len(raw) != want:
+        raise ValueError(f"{where}: {len(raw)} bytes of float64 data, shape {list(shape)} "
+                         f"needs {want}")
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{where}: non-finite value {float(arr.flat[bad[0]])!r} "
+                         f"at flat index {bad[0]}")
+    return arr
+
+
 def save_checkpoint(path: str, model: DetectorModel) -> None:
+    """Write ``model`` as a ``CHECKPOINT_FORMAT`` JSON file (see README)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
-        "seed": model.config.seed,
         "params": {
             name: {
                 "kind": p.kind,
-                "weights": p.weights.data.tolist(),
-                "bias": p.bias.data.tolist(),
+                "weights": _encode_array(p.weights.data),
+                "bias": _encode_array(p.bias.data),
             }
             for name, p in sorted(model.params.items())
         },
@@ -487,10 +526,15 @@ def save_checkpoint(path: str, model: DetectorModel) -> None:
 
 
 def load_checkpoint(path: str) -> DetectorModel:
+    """Read a file written by ``save_checkpoint``; errors name the file."""
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: not a JSON file: {exc}") from exc
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
     cfg_dict = dict(payload["config"])
     known = {f.name for f in fields(ModelConfig)}
     if set(cfg_dict) != known:
@@ -506,12 +550,8 @@ def load_checkpoint(path: str) -> DetectorModel:
         if name not in model.params:
             raise ValueError(f"{path}: unexpected layer {name!r}")
         p = model.params[name]
-        w = np.asarray(entry["weights"], dtype=np.float64)
-        b = np.asarray(entry["bias"], dtype=np.float64)
-        if w.shape != p.weights.data.shape or b.shape != p.bias.data.shape:
-            raise ValueError(f"{path}: shape mismatch for layer {name!r}")
-        p.weights.data = w
-        p.bias.data = b
+        for fld, t in (("weights", p.weights), ("bias", p.bias)):
+            t.data = _decode_array(entry[fld], t.data.shape, f"{path}: layer {name!r} {fld}")
     return model
 
 

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from gazedet import dataset as ds
 from gazedet import gaze as gz
+from gazedet import gradchecks
 from gazedet.cli import main
 from gazedet.gaze import Fixation, GazeSample
 
@@ -97,6 +99,17 @@ class TestGradcheck:
         code, stdout, _ = run(capsys, "gradcheck", "--seeds", "2", "--skip-e2e")
         assert code == 0
         assert "OK" in stdout
+
+    @pytest.mark.parametrize("tolerance, code, verdict",
+                             [(1e-6, 2, "FAIL"), (1e-3, 0, "OK")])
+    def test_verdict_uses_suite_tolerance(self, capsys, monkeypatch,
+                                          tolerance, code, verdict):
+        monkeypatch.setattr(gradchecks, "run_gradcheck_suite",
+                            lambda **kw: [("conv2d", 1e-8), ("linear", 5e-5)])
+        monkeypatch.setattr(gradchecks, "TOLERANCE", tolerance)
+        got, stdout, _ = run(capsys, "gradcheck", "--seeds", "1", "--skip-e2e")
+        assert got == code
+        assert f"worst relative error 5.000e-05: {verdict}" in stdout
 
 
 class TestParsing:
@@ -206,6 +219,17 @@ class TestInputChecks:
         assert code == 1
         assert "--train-frac 0.9" in stderr and "--val-frac 0.3" in stderr
         assert "-0.2" in stderr
+        assert not out.exists()
+
+    def test_synth_checks_ratios_before_rendering(self, capsys, tmp_path, monkeypatch):
+        def no_render(*args):
+            raise AssertionError("synth_generate called before the ratio check")
+
+        monkeypatch.setattr(ds, "synth_generate", no_render)
+        out = tmp_path / "d"
+        code, _, stderr = run(capsys, "synth", "--out", str(out), "--n", "200",
+                              "--train-frac", "0.9", "--val-frac", "0.3")
+        assert code == 1 and "--val-frac 0.3" in stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("size", [["--width", "512"], ["--height", "512"],

@@ -1,7 +1,10 @@
+import base64
 import json
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gazedet import autodiff as ad
 from gazedet import boxes as bx
@@ -292,6 +295,22 @@ class TestComputeLoss:
         assert loss.classification > 0.0
 
 
+def saved_payload(tmp_path):
+    """A saved default checkpoint's path and its parsed JSON payload."""
+    path = tmp_path / "ckpt.json"
+    dt.save_checkpoint(str(path), DetectorModel(ModelConfig()))
+    return path, json.loads(path.read_text())
+
+
+def finite_f64():
+    """Finite float64 values from raw bit patterns, plus the edge cases."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+             sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+    bits = st.integers(0, 2**64 - 1).map(
+        lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))
+    return st.one_of(st.sampled_from(edges), bits.filter(np.isfinite))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = small_config(use_fixations=True, fusion_point="feature", seed=5)
@@ -346,6 +365,109 @@ class TestCheckpoint:
         d = back["r0001"][0]
         assert np.array_equal(d.box, [1.0, 2.0, 3.0, 4.0])
         assert d.label is ClassLabel.CONSOLIDATION and d.score == 0.75
+
+    def test_layout(self, tmp_path):
+        _, payload = saved_payload(tmp_path)
+        assert sorted(payload) == ["config", "format", "params"]
+        assert payload["format"] == "gazedet-checkpoint-v3"
+        entry = payload["params"]["fc1"]
+        assert sorted(entry) == ["bias", "kind", "weights"]
+        assert sorted(entry["weights"]) == ["f64_base64", "shape"]
+
+    def test_rejects_shape_mismatch(self, tmp_path):
+        path, payload = saved_payload(tmp_path)
+        payload["params"]["fc1"]["bias"]["shape"] = [63]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"'fc1' bias: shape \[63\]") as info:
+            dt.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
+    def test_rejects_text_outside_base64_alphabet(self, tmp_path):
+        path, payload = saved_payload(tmp_path)
+        text = payload["params"]["cls"]["weights"]["f64_base64"]
+        payload["params"]["cls"]["weights"]["f64_base64"] = text[:8] + "*" + text[9:]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"'cls' weights: .*'\*' at offset 8") as info:
+            dt.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
+    def test_rejects_wrong_byte_count(self, tmp_path):
+        path, payload = saved_payload(tmp_path)
+        entry = payload["params"]["fc1"]["bias"]
+        raw = base64.b64decode(entry["f64_base64"])
+        entry["f64_base64"] = base64.b64encode(raw[:-8]).decode()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"'fc1' bias: {len(raw) - 8} bytes") as info:
+            dt.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_value(self, tmp_path, value):
+        path, payload = saved_payload(tmp_path)
+        entry = payload["params"]["box"]["weights"]
+        arr = np.frombuffer(base64.b64decode(entry["f64_base64"]), dtype="<f8").copy()
+        arr[3] = value
+        entry["f64_base64"] = base64.b64encode(arr.tobytes()).decode()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"'box' weights: non-finite value {value!r} "
+                                             "at flat index 3") as info:
+            dt.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
+    def test_rejects_v2_file_by_format(self, tmp_path):
+        path, payload = saved_payload(tmp_path)
+        payload["format"] = "gazedet-checkpoint-v2"
+        for entry in payload["params"].values():
+            for key in ("weights", "bias"):
+                raw = base64.b64decode(entry[key]["f64_base64"])
+                arr = np.frombuffer(raw, dtype="<f8").reshape(entry[key]["shape"])
+                entry[key] = arr.tolist()
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="gazedet-checkpoint-v2") as info:
+            dt.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("text, match", [("[]", "format None"),
+                                             ("nope", "not a JSON file")],
+                             ids=["json_list", "not_json"])
+    def test_rejects_non_checkpoint_text(self, tmp_path, text, match):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            dt.load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
+    def test_loaded_arrays_are_owned_writable_native(self, tmp_path):
+        path, _ = saved_payload(tmp_path)
+        for p in dt.load_checkpoint(str(path)).params.values():
+            for arr in (p.weights.data, p.bias.data):
+                assert arr.dtype == np.float64 and arr.dtype.isnative
+                assert arr.flags.owndata and arr.flags.writeable
+
+    @given(st.lists(finite_f64(), min_size=1, max_size=48))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_exact_round_trip(self, tmp_path_factory, values):
+        model = DetectorModel(small_config(use_fixations=True, seed=3))
+        vals = np.array(values, dtype=np.float64)
+        for k, (_, p) in enumerate(sorted(model.params.items())):
+            for t in (p.weights, p.bias):
+                t.data = np.resize(np.roll(vals, k), t.data.shape)
+        d = tmp_path_factory.mktemp("ckpt")
+        dt.save_checkpoint(str(d / "a.json"), model)
+        back = dt.load_checkpoint(str(d / "a.json"))
+        dt.save_checkpoint(str(d / "b.json"), back)
+        assert (d / "a.json").read_bytes() == (d / "b.json").read_bytes()
+        for name, p in model.params.items():
+            for t, u in ((p.weights, back.params[name].weights),
+                         (p.bias, back.params[name].bias)):
+                assert np.array_equal(t.data, u.data)
+                assert np.array_equal(np.signbit(t.data), np.signbit(u.data))
+
+    def test_same_model_saved_twice_gives_identical_bytes(self, tmp_path):
+        model = DetectorModel(small_config(seed=7))
+        dt.save_checkpoint(str(tmp_path / "a.json"), model)
+        dt.save_checkpoint(str(tmp_path / "b.json"), model)
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 class TestZeroProposals:

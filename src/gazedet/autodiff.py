@@ -2,8 +2,9 @@
 
 Everything is float64 on CPU and fully deterministic: the same seed gives a
 bitwise-identical training trajectory. The graph is a plain tape of applied
-ops (each output tensor remembers its parents and a backward closure); there
-is no general graph compiler because the detector is a fixed pipeline.
+ops (each output tensor remembers its parents and a backward closure, except
+inside ``no_grad()``); there is no general graph compiler because the
+detector is a fixed pipeline.
 
 Conventions:
   - conv2d is cross-correlation (no kernel flip), NCHW layout.
@@ -13,6 +14,7 @@ Conventions:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,7 @@ __all__ = [
     "Tensor",
     "LayerParams",
     "NumericsError",
+    "no_grad",
     "ShapeError",
     "conv2d",
     "relu",
@@ -130,13 +133,30 @@ class Tensor:
         return elementwise_combine(self, other, "mul")
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block record no parents and no backward closure, so
+    their outputs are untracked constants and their buffers are freed as
+    soon as the caller drops them. The previous mode is restored on exit,
+    also when the block raises."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _node(data: np.ndarray, parents: tuple, backward, ctx: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = _check_finite(np.ascontiguousarray(data, dtype=np.float64), ctx)
     out.grad = None
     out.requires_grad = False
     out._vel = None
-    if any(p.tracked for p in parents):
+    if _grad_enabled and any(p.tracked for p in parents):
         out._parents = parents
         out._backward = backward
     else:
@@ -180,8 +200,22 @@ def kaiming_linear(m: int, d: int, rng: np.random.Generator) -> LayerParams:
 # primitive ops
 
 
+def _taps(kh: int, kw: int, stride: int, ho: int, wo: int):
+    """Yield (i, j, index) per kernel tap in row-major order; ``a[index]`` is
+    the (..., ho, wo) strided view of what tap (i, j) reads for every output
+    cell of a window sweep over ``a``."""
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, (..., slice(i, i + ho * stride, stride), slice(j, j + wo * stride, stride))
+
+
 def conv2d(x: Tensor, params: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation over NCHW input; output H' = (H + 2p - kH)//s + 1."""
+    """Cross-correlation over NCHW input; output H' = (H + 2p - kH)//s + 1.
+
+    One GEMM in a (C*kH*kW, N*H'*W') column layout: forward ``W @ cols``,
+    weight gradient ``g @ cols.T``, input gradient ``W.T @ g`` added back
+    tap by tap as contiguous (C, N, H', W') planes.
+    """
     if stride < 1 or pad < 0:
         raise ShapeError(f"invalid stride/pad ({stride}, {pad})")
     w, b = params.weights, params.bias
@@ -197,28 +231,25 @@ def conv2d(x: Tensor, params: LayerParams, stride: int = 1, pad: int = 0) -> Ten
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # (n, c, ho, wo, kh, kw)
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, c * kh * kw)
-    wmat = w.data.reshape(f, c * kh * kw)
-    y = cols @ wmat.T + b.data  # (n, ho*wo, f)
-    out_data = y.transpose(0, 2, 1).reshape(n, f, ho, wo)
+    k, nl = c * kh * kw, n * ho * wo
+    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(k, nl)  # rows (c, i, j), columns (n, y, x)
+    wmat = w.data.reshape(f, k)
+    y = wmat @ cols + b.data[:, None]  # (f, n*ho*wo)
+    out_data = y.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
 
     def backward(g):
+        g_t = g.transpose(1, 0, 2, 3).reshape(f, nl)
         if w.tracked:
-            gw = g.transpose(1, 0, 2, 3).reshape(f, -1) @ cols.reshape(-1, c * kh * kw)
-            w.accumulate_grad(gw.reshape(w.data.shape))
+            w.accumulate_grad((g_t @ cols.T).reshape(w.data.shape))
         if b.tracked:
             b.accumulate_grad(g.sum(axis=(0, 2, 3)))
         if x.tracked:
-            g2 = g.reshape(n, f, ho * wo).transpose(0, 2, 1)  # (n, L, f)
-            dcols = (g2 @ wmat).reshape(n, ho, wo, c, kh, kw)
-            hp, wp = h + 2 * pad, wid + 2 * pad
-            dxp = np.zeros((n, c, hp, wp))
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + ho * stride : stride, j : j + wo * stride : stride] += (
-                        dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                    )
-            x.accumulate_grad(dxp[:, :, pad : pad + h, pad : pad + wid] if pad else dxp)
+            dcols = (wmat.T @ g_t).reshape(c, kh, kw, n, ho, wo)
+            dxp = np.zeros((c, n, h + 2 * pad, wid + 2 * pad))
+            for i, j, tap in _taps(kh, kw, stride, ho, wo):
+                dxp[tap] += dcols[:, i, j]
+            dx = dxp.transpose(1, 0, 2, 3)
+            x.accumulate_grad(dx[:, :, pad : pad + h, pad : pad + wid] if pad else dx)
 
     return _node(out_data, (x, w, b), backward, "conv2d output")
 
@@ -234,25 +265,29 @@ def relu(x: Tensor) -> Tensor:
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
-    """Window maxima; gradient routed to the first max index in each window."""
+    """Window maxima; gradient routed to the first max in row-major window order.
+
+    Rows and columns that no full window covers are dropped.
+    """
     n, c, h, w = x.data.shape
     if k > h or k > w:
         raise ShapeError(f"pool window {k} larger than input {x.data.shape}")
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].reshape(n, c, ho, wo, k * k)
-    arg = np.argmax(win, axis=-1)  # first-index tie-break
-    out_data = np.take_along_axis(win, arg[..., None], axis=-1)[..., 0]
+    taps = [tap for _i, _j, tap in _taps(k, k, stride, ho, wo)]
+    out_data = x.data[taps[0]].copy()
+    for tap in taps[1:]:
+        np.maximum(out_data, x.data[tap], out=out_data)
 
     def backward(g):
         if not x.tracked:
             return
         dx = np.zeros_like(x.data)
-        ni, ci, oi, oj = np.indices((n, c, ho, wo))
-        ii = oi * stride + arg // k
-        jj = oj * stride + arg % k
-        np.add.at(dx, (ni, ci, ii, jj), g)
+        unrouted = np.ones(out_data.shape, dtype=bool)  # windows not yet given their g
+        for tap in taps:
+            hit = unrouted & (x.data[tap] == out_data)
+            dx[tap] += np.where(hit, g, 0.0)
+            unrouted &= ~hit
         x.accumulate_grad(dx)
 
     return _node(out_data, (x,), backward, "maxpool2d output")

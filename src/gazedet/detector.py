@@ -471,8 +471,21 @@ def train_loss(model: DetectorModel, image, fmap, targets: list[TargetBox],
 # checkpoints and prediction files
 
 
-def _encode_array(a: np.ndarray) -> dict:
-    """An array as its shape and its little-endian float64 bytes in base64."""
+def _refuse_non_finite(arr: np.ndarray, where: str) -> None:
+    """Raise ValueError, prefixed with ``where``, naming the first non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{where}: non-finite value {float(arr.flat[bad[0]])!r} "
+                         f"at flat index {bad[0]}")
+
+
+def _encode_array(a: np.ndarray, where: str) -> dict:
+    """An array as its shape and its little-endian float64 bytes in base64.
+
+    A non-finite value, which ``_decode_array`` would refuse, raises
+    ValueError prefixed with ``where``.
+    """
+    _refuse_non_finite(a, where)
     raw = a.astype("<f8", copy=False).tobytes()
     return {"shape": list(a.shape), "f64_base64": base64.b64encode(raw).decode("ascii")}
 
@@ -501,23 +514,25 @@ def _decode_array(entry, shape: tuple, where: str) -> np.ndarray:
         raise ValueError(f"{where}: {len(raw)} bytes of float64 data, shape {list(shape)} "
                          f"needs {want}")
     arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"{where}: non-finite value {float(arr.flat[bad[0]])!r} "
-                         f"at flat index {bad[0]}")
+    _refuse_non_finite(arr, where)
     return arr
 
 
 def save_checkpoint(path: str, model: DetectorModel) -> None:
-    """Write ``model`` as a ``CHECKPOINT_FORMAT`` JSON file (see README)."""
+    """Write ``model`` as a ``CHECKPOINT_FORMAT`` JSON file (see README).
+
+    A non-finite weight raises ValueError naming the file, the layer, the
+    field and the flat index, as ``load_checkpoint`` would, and nothing is
+    written.
+    """
     payload = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "params": {
             name: {
                 "kind": p.kind,
-                "weights": _encode_array(p.weights.data),
-                "bias": _encode_array(p.bias.data),
+                "weights": _encode_array(p.weights.data, f"{path}: layer {name!r} weights"),
+                "bias": _encode_array(p.bias.data, f"{path}: layer {name!r} bias"),
             }
             for name, p in sorted(model.params.items())
         },

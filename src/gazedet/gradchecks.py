@@ -36,6 +36,24 @@ def check_conv2d(seed: int) -> float:
     return grad_check(f, [x, p.weights, p.bias])
 
 
+def check_conv2d_batched(seed: int) -> float:
+    """A batch of ROIs through a 3x3, pad-1 conv, shaped like the mask head.
+
+    The output is weighted by a fixed random map before the sum, so each
+    output cell sends its own gradient back.
+    """
+    rng = np.random.default_rng(seed)
+    x = Tensor(_rand(rng, 3, 2, 4, 4), requires_grad=True)
+    p = ad.kaiming_conv(3, 2, 3, 3, rng)
+    weight = Tensor(_rand(rng, 3, 3, 4, 4))
+
+    def f(x, w, b):
+        y = ad.conv2d(x, ad.LayerParams(w, b, "conv2d"), stride=1, pad=1)
+        return ad.tensor_sum(ad.elementwise_combine(y, weight, "mul"))
+
+    return grad_check(f, [x, p.weights, p.bias])
+
+
 def check_linear(seed: int) -> float:
     rng = np.random.default_rng(seed)
     x = Tensor(_rand(rng, 3, 5), requires_grad=True)
@@ -111,6 +129,7 @@ def check_roi_align(seed: int) -> float:
 
 OP_CHECKS = [
     ("conv2d", check_conv2d),
+    ("conv2d_batched", check_conv2d_batched),
     ("linear", check_linear),
     ("relu", check_relu),
     ("sigmoid", check_sigmoid),

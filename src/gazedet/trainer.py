@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gaze as gz
 from . import metrics as mx
-from .autodiff import NumericsError, sgd_step
+from .autodiff import NumericsError, no_grad, sgd_step
 from .dataset import REPORT_CLASS_TITLES, ClassLabel, Reading, reading_targets
 from .detector import (
     DetectorModel,
@@ -106,9 +106,10 @@ def _reading_loss(model: DetectorModel, reading: Reading, model_cfg: ModelConfig
 
 def _epoch_val_loss(model, readings, model_cfg, seed, epoch) -> float:
     total = 0.0
-    for k, reading in enumerate(readings):
-        rng = np.random.default_rng([seed, 1_000_000 + epoch, k])
-        total += _reading_loss(model, reading, model_cfg, rng).total
+    with no_grad():
+        for k, reading in enumerate(readings):
+            rng = np.random.default_rng([seed, 1_000_000 + epoch, k])
+            total += _reading_loss(model, reading, model_cfg, rng).total
     return total / max(1, len(readings))
 
 
@@ -153,10 +154,11 @@ def train(model_cfg: ModelConfig, train_readings: list[Reading],
 
 def infer_dataset(model: DetectorModel, readings: list[Reading]):
     dets_by_reading = {}
-    for reading in readings:
-        image, fmap = _inputs_for(reading, model.config)
-        out = model.forward(image, fmap, mode="infer")
-        dets_by_reading[reading.id] = out.detections
+    with no_grad():
+        for reading in readings:
+            image, fmap = _inputs_for(reading, model.config)
+            out = model.forward(image, fmap, mode="infer")
+            dets_by_reading[reading.id] = out.detections
     return dets_by_reading
 
 

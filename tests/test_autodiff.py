@@ -241,3 +241,156 @@ class TestSgdStep:
         p.bias.grad = np.zeros(1)
         ad.sgd_step([p], lr=0.1)
         assert p.weights.grad is None and p.bias.grad is None
+
+
+def conv_reference(x, w, b, g, stride, pad):
+    """Output and gradients of a conv2d, one output cell at a time."""
+    n, c, h, wid = x.shape
+    f, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho = (h + 2 * pad - kh) // stride + 1
+    wo = (wid + 2 * pad - kw) // stride + 1
+    y = np.zeros((n, f, ho, wo))
+    dxp, dw, db = np.zeros_like(xp), np.zeros_like(w), np.zeros_like(b)
+    for ni in range(n):
+        for fi in range(f):
+            for oi in range(ho):
+                for oj in range(wo):
+                    rows = slice(oi * stride, oi * stride + kh)
+                    cols = slice(oj * stride, oj * stride + kw)
+                    window = xp[ni, :, rows, cols]
+                    y[ni, fi, oi, oj] = np.sum(window * w[fi]) + b[fi]
+                    gc = g[ni, fi, oi, oj]
+                    dxp[ni, :, rows, cols] += gc * w[fi]
+                    dw[fi] += gc * window
+                    db[fi] += gc
+    return y, dxp[:, :, pad : pad + h, pad : pad + wid], dw, db
+
+
+class TestConv2dReference:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_cell_loop(self, n, stride, pad, k):
+        rng = np.random.default_rng([n, stride, pad, k])
+        x = Tensor(rng.normal(size=(n, 2, 7, 5)), requires_grad=True)  # non-square
+        p = conv_params(rng.normal(size=(4, 2, k, k)), rng.normal(size=4))
+        out = ad.conv2d(x, p, stride=stride, pad=pad)
+        g = rng.normal(size=out.data.shape)
+        ref_y, ref_dx, ref_dw, ref_db = conv_reference(
+            x.data, p.weights.data, p.bias.data, g, stride, pad)
+        out._backward(g)
+        assert out.data.shape == ref_y.shape
+        for got, want in ((out.data, ref_y), (x.grad, ref_dx),
+                          (p.weights.grad, ref_dw), (p.bias.grad, ref_db)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def maxpool_reference(x, g, k, stride):
+    """Output and gradient of a maxpool, each window's gradient going to
+    its first maximum in row-major order."""
+    n, c, h, w = x.shape
+    ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
+    y = np.zeros((n, c, ho, wo))
+    dx = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for oi in range(ho):
+                for oj in range(wo):
+                    window = x[ni, ci, oi * stride : oi * stride + k, oj * stride : oj * stride + k]
+                    first = int(np.argmax(window))  # first maximum, row-major
+                    y[ni, ci, oi, oj] = window.flat[first]
+                    dx[ni, ci, oi * stride + first // k, oj * stride + first % k] += g[ni, ci, oi, oj]
+    return y, dx
+
+
+class TestMaxpoolReference:
+    def run(self, x, k, stride, seed=0):
+        t = Tensor(x, requires_grad=True)
+        out = ad.maxpool2d(t, k, stride)
+        g = np.random.default_rng(seed).normal(size=out.data.shape)
+        out._backward(g)
+        return out.data, t.grad, g
+
+    def test_ties_route_to_first_max_in_row_major_order(self):
+        x = np.array([[[[1.0, 5.0, 2.0, 2.0],
+                        [5.0, 5.0, 2.0, 2.0],
+                        [0.0, 3.0, 4.0, 1.0],
+                        [3.0, 0.0, 4.0, 4.0]]]])
+        y, dx, g = self.run(x, 2, 2)
+        assert np.array_equal(y, [[[[5.0, 2.0], [3.0, 4.0]]]])
+        want = np.zeros_like(x)
+        want[0, 0, 0, 1] = g[0, 0, 0, 0]  # (0,1) before (1,0) and (1,1)
+        want[0, 0, 0, 2] = g[0, 0, 0, 1]  # all four equal: the top-left one
+        want[0, 0, 2, 1] = g[0, 0, 1, 0]  # (0,1) before (1,0)
+        want[0, 0, 2, 2] = g[0, 0, 1, 1]  # (0,0) before (1,0) and (1,1)
+        assert np.array_equal(dx, want)
+
+    def test_odd_input_drops_last_row_and_column(self):
+        x = np.random.default_rng(1).normal(size=(2, 3, 7, 7))
+        y, dx, g = self.run(x, 2, 2)
+        assert y.shape == (2, 3, 3, 3)
+        ref_y, ref_dx = maxpool_reference(x, g, 2, 2)
+        assert np.array_equal(y, ref_y) and np.array_equal(dx, ref_dx)
+        assert not dx[:, :, 6, :].any() and not dx[:, :, :, 6].any()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_overlapping_windows_match_reference(self, stride):
+        # integers in a small range give many ties inside and across windows
+        x = np.random.default_rng(stride).integers(0, 4, size=(2, 2, 7, 6)).astype(np.float64)
+        y, dx, g = self.run(x, 3, stride, seed=stride)
+        ref_y, ref_dx = maxpool_reference(x, g, 3, stride)
+        assert np.array_equal(y, ref_y)
+        np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
+
+
+def small_graph(x, p):
+    return ad.tensor_sum(ad.maxpool2d(ad.relu(ad.conv2d(x, p, pad=1)), 2, 2))
+
+
+class TestNoGrad:
+    def setup_method(self):
+        rng = np.random.default_rng(8)
+        self.x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
+        self.p = conv_params(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3))
+
+    def grads(self):
+        for t in (self.x, *self.p.tensors()):
+            t.zero_grad()
+        small_graph(self.x, self.p).backward()
+        return [t.grad.copy() for t in (self.x, *self.p.tensors())]
+
+    def assert_untracked(self):
+        conv = ad.conv2d(self.x, self.p, pad=1)
+        for out in (conv, ad.relu(conv), ad.linear(ad.flatten(conv), lin_params(
+                np.ones((2, 108)), np.zeros(2))), small_graph(self.x, self.p)):
+            assert out.tracked is False and out._backward is None
+
+    def test_ops_build_no_graph_inside(self):
+        with ad.no_grad():
+            self.assert_untracked()
+        assert ad.conv2d(self.x, self.p, pad=1).tracked
+
+    def test_restored_after_exception(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with ad.no_grad():
+                raise RuntimeError("boom")
+        out = ad.conv2d(self.x, self.p, pad=1)
+        assert out.tracked and out._backward is not None
+
+    def test_restored_after_nesting(self):
+        with ad.no_grad():
+            with ad.no_grad():
+                self.assert_untracked()
+            self.assert_untracked()  # leaving the inner block keeps grads off
+        assert ad.conv2d(self.x, self.p, pad=1).tracked
+
+    def test_values_equal_and_gradients_outside_unchanged(self):
+        before = self.grads()
+        with_graph = small_graph(self.x, self.p).data
+        with ad.no_grad():
+            assert np.array_equal(small_graph(self.x, self.p).data, with_graph)
+        after = self.grads()
+        for a, b in zip(before, after):
+            assert np.array_equal(a, b)

@@ -414,6 +414,16 @@ class TestCheckpoint:
             dt.load_checkpoint(str(path))
         assert str(path) in str(info.value)
 
+    def test_save_refuses_non_finite_weight(self, tmp_path):
+        model = DetectorModel(ModelConfig())
+        model.params["fc1"].bias.data[0] = np.nan
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValueError, match="'fc1' bias: non-finite value nan "
+                                             "at flat index 0") as info:
+            dt.save_checkpoint(str(path), model)
+        assert str(path) in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_rejects_v2_file_by_format(self, tmp_path):
         path, payload = saved_payload(tmp_path)
         payload["format"] = "gazedet-checkpoint-v2"

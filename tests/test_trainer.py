@@ -116,6 +116,42 @@ class TestEvaluate:
         assert "n/a" in report.to_markdown()
 
 
+class TestInferDataset:
+    def test_same_detections_as_plain_forward(self, tiny_readings, tmp_path):
+        cfg = tiny_model_cfg(use_fixations=True)
+        model, _ = tr.train(cfg, tiny_readings[:4], [], TrainConfig(epochs=1),
+                            str(tmp_path / "run"))
+        got = tr.infer_dataset(model, tiny_readings[4:])
+        assert list(got) == [r.id for r in tiny_readings[4:]]
+        n_dets = 0
+        for reading in tiny_readings[4:]:
+            fmap = tr.fixation_map_for(reading, cfg.img_size)
+            plain = model.forward(reading.image, fmap, mode="infer").detections
+            assert len(got[reading.id]) == len(plain)
+            for a, b in zip(got[reading.id], plain):
+                assert a.label == b.label and a.score == b.score
+                assert np.array_equal(a.box, b.box) and np.array_equal(a.mask, b.mask)
+            n_dets += len(plain)
+        assert n_dets > 0
+
+    def test_inference_keeps_no_graph(self, tiny_readings, tmp_path, monkeypatch):
+        model, _ = tr.train(tiny_model_cfg(), tiny_readings[:2], [], TrainConfig(epochs=1),
+                            str(tmp_path / "run"))
+        outputs = []
+        forward = type(model).forward
+
+        def recording_forward(self, *args, **kwargs):
+            outputs.append(forward(self, *args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(type(model), "forward", recording_forward)
+        tr.infer_dataset(model, tiny_readings[4:6])
+        assert len(outputs) == 2
+        for out in outputs:
+            for t in (out.rpn_obj, out.cls_logits, out.mask_logits):
+                assert not t.tracked and t._backward is None
+
+
 class TestComparison:
     def test_identical_arms_identical_columns(self, tiny_readings, tmp_path):
         cfg = tiny_model_cfg()

@@ -10,6 +10,8 @@ Conventions:
   - conv2d is cross-correlation (no kernel flip), NCHW layout.
   - ReLU subgradient at 0 is 0.
   - Any op that would produce NaN/Inf raises NumericsError instead.
+  - A loss's mean is sum / max(n, 1): bitwise np.mean for n >= 1, and 0.0
+    with a zero-size gradient over zero rows, so empty batches need no branch.
 """
 
 from __future__ import annotations
@@ -441,13 +443,14 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     ez = np.exp(z - zmax)
     logsum = np.log(ez.sum(axis=1)) + zmax[:, 0]
     losses = logsum - z[np.arange(r), labels]
-    out_data = np.asarray(losses.mean())
+    n = max(r, 1)
+    out_data = np.asarray(losses.sum() / n)
 
     def backward(g):
         if logits.tracked:
             p = ez / ez.sum(axis=1, keepdims=True)
             p[np.arange(r), labels] -= 1.0
-            logits.accumulate_grad(g * p / r)
+            logits.accumulate_grad(g * p / n)
 
     return _node(out_data, (logits,), backward, "softmax-CE output")
 
@@ -459,8 +462,8 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError(f"bce target shape {t.shape} vs logits {logits.data.shape}")
     z = logits.data
     losses = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
-    out_data = np.asarray(losses.mean())
-    n = z.size
+    n = max(z.size, 1)
+    out_data = np.asarray(losses.sum() / n)
 
     def backward(g):
         if logits.tracked:
@@ -480,7 +483,7 @@ def smooth_l1(pred: Tensor, targets: np.ndarray) -> Tensor:
     d = pred.data - t
     absd = np.abs(d)
     per = np.where(absd < 1.0, 0.5 * d * d, absd - 0.5)
-    r = pred.data.shape[0] if pred.data.ndim > 1 else 1
+    r = max(pred.data.shape[0], 1) if pred.data.ndim > 1 else 1
     out_data = np.asarray(per.sum() / r)
 
     def backward(g):

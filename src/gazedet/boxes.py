@@ -26,18 +26,14 @@ def generate_anchors(
     Scale s at ratio 1 gives a square s-by-s anchor; ratio r stretches
     height by sqrt(r) and shrinks width by sqrt(r) (area preserved).
     """
-    cy = (np.arange(feat_h) + 0.5) * stride
-    cx = (np.arange(feat_w) + 0.5) * stride
-    anchors = []
-    for y in cy:
-        for x in cx:
-            for s in scales:
-                for r in ratios:
-                    h = s * np.sqrt(r)
-                    w = s / np.sqrt(r)
-                    anchors.append([x - w / 2, y - h / 2, x + w / 2, y + h / 2])
-    out = np.asarray(anchors, dtype=np.float64).reshape(-1, 4)
-    return clip_boxes(out, img_size)
+    y = ((np.arange(feat_h) + 0.5) * stride)[:, None, None]
+    x = ((np.arange(feat_w) + 0.5) * stride)[None, :, None]
+    s = np.asarray(scales, dtype=np.float64)[:, None]
+    root = np.sqrt(np.asarray(ratios, dtype=np.float64))
+    half_h = (s * root / 2).ravel()  # per (scale, ratio), ratio fastest
+    half_w = (s / root / 2).ravel()
+    corners = np.broadcast_arrays(x - half_w, y - half_h, x + half_w, y + half_h)
+    return clip_boxes(np.stack(corners, axis=-1).reshape(-1, 4), img_size)
 
 
 def clip_boxes(boxes: np.ndarray, img_size: int) -> np.ndarray:
@@ -109,8 +105,6 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> np.ndarray:
         raise ValueError(f"nms length mismatch: {len(boxes)} boxes vs {len(scores)} scores")
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"iou_thresh must be in (0, 1), got {iou_thresh}")
-    if len(boxes) == 0:
-        return np.empty(0, dtype=np.intp)
     # stable sort on -score keeps the lower index first among ties
     order = np.argsort(-scores, kind="stable")
     ious = iou_matrix(boxes, boxes)

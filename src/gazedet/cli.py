@@ -61,7 +61,6 @@ def _model_config(args, seed: int, use_fixations: bool, img_size: int) -> ModelC
         use_fixations=use_fixations,
         fusion_mode=args.fusion,
         fusion_point=args.fusion_point,
-        n_classes=5,
         seed=seed,
     )
 

@@ -19,7 +19,9 @@ truth. Everything is deterministic per seed.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -64,8 +66,10 @@ class EllipseAnnotation:
     label: ClassLabel
 
     def __post_init__(self):
-        if self.rx <= 0 or self.ry <= 0:
-            raise ValueError(f"ellipse radii must be positive, got ({self.rx}, {self.ry})")
+        values = (self.cx, self.cy, self.rx, self.ry)
+        if not (all(map(math.isfinite, values)) and self.rx > 0 and self.ry > 0):
+            raise ValueError(f"ellipse (cx, cy, rx, ry) must be finite with positive radii, "
+                             f"got {values}")
 
 
 @dataclass(frozen=True)
@@ -132,36 +136,43 @@ def reading_targets(reading: Reading) -> list[TargetBox]:
 # disk I/O
 
 
-def _annotation_from_json(obj: dict, where: str) -> EllipseAnnotation:
-    try:
-        label = NAME_TO_CLASS[obj["label"]]
-        return EllipseAnnotation(
-            cx=float(obj["cx"]), cy=float(obj["cy"]),
-            rx=float(obj["rx"]), ry=float(obj["ry"]), label=label,
-        )
-    except KeyError as exc:
-        raise ValueError(f"{where}: unknown or missing field/label {exc}") from exc
+def is_finite_number(v) -> bool:
+    """A JSON number (not a bool) that is a finite float."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _annotation_from_json(obj, img_w: int, img_h: int, where: str) -> EllipseAnnotation:
+    """An object with finite numbers ``cx``, ``cy``, ``rx``, ``ry`` and a known
+    ``label``, not wholly outside the image; anything else raises ValueError
+    naming ``where``, the field and the value."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected an object, got {obj!r}")
+    for key in ("cx", "cy", "rx", "ry"):
+        if not is_finite_number(obj.get(key)):
+            raise ValueError(f"{where}: {key} {obj[key]!r} is not a finite number"
+                             if key in obj else f"{where}: missing field {key!r}")
+    if obj.get("label") not in NAME_TO_CLASS:
+        raise ValueError(f"{where}: label {obj.get('label')!r} is not one of "
+                         f"{sorted(NAME_TO_CLASS)}")
+    e = EllipseAnnotation(cx=float(obj["cx"]), cy=float(obj["cy"]), rx=float(obj["rx"]),
+                          ry=float(obj["ry"]), label=NAME_TO_CLASS[obj["label"]])
+    _check_in_frame(e, img_w, img_h, f"{where}: ")
+    return e
 
 
 def load_reading(path: str) -> Reading:
     """Load one reading directory; fixations.csv wins over gaze.csv."""
     img_path = os.path.join(path, "image.pgm")
     ann_path = os.path.join(path, "annotations.json")
-    if not os.path.exists(img_path):
-        raise FileNotFoundError(f"missing {img_path}")
-    if not os.path.exists(ann_path):
-        raise FileNotFoundError(f"missing {ann_path}")
     image = gz.read_pgm(img_path)
     with open(ann_path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ValueError(f"{ann_path}: expected a JSON array")
-    annotations = [
-        _annotation_from_json(obj, f"{ann_path}[{i}]") for i, obj in enumerate(raw)
-    ]
     h, w = image.shape
-    for i, a in enumerate(annotations):
-        _check_in_frame(a, w, h, f"{ann_path}[{i}]: ")
+    annotations = [
+        _annotation_from_json(obj, w, h, f"{ann_path}[{i}]") for i, obj in enumerate(raw)
+    ]
 
     gaze_path = os.path.join(path, "gaze.csv")
     fix_path = os.path.join(path, "fixations.csv")
@@ -213,11 +224,20 @@ def save_dataset(root: str, readings: list[Reading], splits: dict[str, str] | No
 
 
 def load_dataset(root: str, split: str | None = None) -> list[Reading]:
+    """The readings of ``split`` (all when None), in manifest order; a bad
+    manifest raises ValueError naming the file, the entry and the value."""
     man_path = os.path.join(root, "manifest.json")
     with open(man_path) as fh:
         manifest = json.load(fh)
+    entries = manifest.get("readings") if isinstance(manifest, dict) else manifest
+    if not (isinstance(manifest, dict) and isinstance(entries, list)):
+        raise ValueError(f"{man_path}: expected an object with a 'readings' list, "
+                         f"got {entries!r:.60}")
     readings = []
-    for entry in manifest["readings"]:
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)):
+            raise ValueError(f"{man_path}: readings[{i}] {entry!r} is not an object "
+                             "with a string 'id'")
         if split is not None and entry.get("split") != split:
             continue
         readings.append(load_reading(os.path.join(root, "readings", entry["id"])))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import base64
 import json
 import re
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
 
@@ -28,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import boxes as bx
 from .autodiff import LayerParams, Tensor
-from .dataset import ClassLabel, CLASS_NAMES, NAME_TO_CLASS, TargetBox
+from .dataset import ClassLabel, CLASS_NAMES, NAME_TO_CLASS, TargetBox, is_finite_number
 from .fileio import atomic_write_text
 from .gaze import FixationMap
 
@@ -42,7 +41,6 @@ class ModelConfig:
     fusion_mode: str = "sum"  # "sum" | "mul"
     fusion_point: str = "feature"  # "input" | "feature"
     anchor_scales: tuple = (8.0, 16.0, 28.0)
-    anchor_ratios: tuple = (1.0,)
     post_nms_top: int = 50  # 0 = head sees only appended gt boxes (train mode)
     roi_size: int = 7
     n_classes: int = 5
@@ -52,10 +50,12 @@ class ModelConfig:
     fc_dim: int = 64
     mask_channels: int = 16
     score_thresh: float = 0.05
-    infer_nms_thresh: float = 0.5
-    max_detections: int = 100
 
-    # fixed proposal and sampling settings: class constants, not config fields
+    # fixed settings that no caller varies: class constants, not config fields
+    feat_stride: ClassVar[int] = 8
+    anchor_ratios: ClassVar[tuple] = (1.0,)
+    infer_nms_thresh: ClassVar[float] = 0.5
+    max_detections: ClassVar[int] = 100
     pre_nms_top: ClassVar[int] = 200
     rpn_nms_thresh: ClassVar[float] = 0.7
     rpn_fg_thresh: ClassVar[float] = 0.7
@@ -67,22 +67,16 @@ class ModelConfig:
     pos_fraction: ClassVar[float] = 0.25
 
     def __post_init__(self):
-        if not self.anchor_scales or not self.anchor_ratios:
-            raise ValueError("anchor scales and ratios must be non-empty")
+        if not self.anchor_scales:
+            raise ValueError("anchor scales must be non-empty")
         if self.fusion_mode not in ("sum", "mul"):
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
         if self.fusion_point not in ("input", "feature"):
             raise ValueError(f"unknown fusion_point {self.fusion_point!r}")
-        if self.img_size % 8 != 0:
+        if len(self.channels) != 4:
+            raise ValueError(f"channels must give the 4 backbone widths, got {self.channels}")
+        if self.img_size % self.feat_stride != 0:
             raise ValueError("img_size must be a multiple of the stride-8 backbone")
-
-    @property
-    def feat_stride(self) -> int:
-        return 8
-
-    @property
-    def feat_size(self) -> int:
-        return self.img_size // self.feat_stride
 
     @property
     def n_anchors_per_cell(self) -> int:
@@ -173,28 +167,16 @@ def roi_align(feat: Tensor, rois: np.ndarray, stride: int, out_size: int) -> Ten
 # model
 
 
-_SHARED_LAYER_ORDER = [
-    "bb_img_0", "bb_img_1", "bb_img_2", "bb_img_3",
-    "rpn_conv", "rpn_obj", "rpn_delta",
-    "fc1", "cls", "box", "mask_conv", "mask_out",
-]
-_FIX_LAYER_ORDER = ["bb_fix_0", "bb_fix_1", "bb_fix_2", "bb_fix_3"]
-
-
 class DetectorModel:
     """Owns all layer parameters; single-threaded during forward/backward."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
-        c1, c2, c3, c4 = config.channels
+        c4 = config.channels[-1]
         a = config.n_anchors_per_cell
         k = config.n_classes
         rng = np.random.default_rng(config.seed)
-        p: dict[str, LayerParams] = {}
-        p["bb_img_0"] = ad.kaiming_conv(c1, 1, 3, 3, rng)
-        p["bb_img_1"] = ad.kaiming_conv(c2, c1, 3, 3, rng)
-        p["bb_img_2"] = ad.kaiming_conv(c3, c2, 3, 3, rng)
-        p["bb_img_3"] = ad.kaiming_conv(c4, c3, 3, 3, rng)
+        p = self._backbone_params("bb_img", rng)
         p["rpn_conv"] = ad.kaiming_conv(config.rpn_channels, c4, 3, 3, rng)
         p["rpn_obj"] = ad.kaiming_conv(a, config.rpn_channels, 1, 1, rng)
         p["rpn_delta"] = ad.kaiming_conv(4 * a, config.rpn_channels, 1, 1, rng)
@@ -206,33 +188,30 @@ class DetectorModel:
         if config.use_fixations and config.fusion_point == "feature":
             # separate stream so shared layers stay identical to an
             # image-only model built from the same seed
-            frng = np.random.default_rng([config.seed, 7])
-            p["bb_fix_0"] = ad.kaiming_conv(c1, 1, 3, 3, frng)
-            p["bb_fix_1"] = ad.kaiming_conv(c2, c1, 3, 3, frng)
-            p["bb_fix_2"] = ad.kaiming_conv(c3, c2, 3, 3, frng)
-            p["bb_fix_3"] = ad.kaiming_conv(c4, c3, 3, 3, frng)
+            p.update(self._backbone_params("bb_fix", np.random.default_rng([config.seed, 7])))
         self.params = p
-        self._anchors = bx.generate_anchors(
-            config.feat_size, config.feat_size, config.feat_stride,
+        fs = config.img_size // config.feat_stride
+        self.anchors = bx.generate_anchors(
+            fs, fs, config.feat_stride,
             list(config.anchor_scales), list(config.anchor_ratios), config.img_size,
         )
 
-    @property
-    def anchors(self) -> np.ndarray:
-        return self._anchors
+    def _backbone_params(self, prefix: str, rng: np.random.Generator) -> dict[str, LayerParams]:
+        """One 3x3 conv per entry of ``config.channels``, from a 1-channel input."""
+        c_in = (1,) + tuple(self.config.channels[:-1])
+        return {f"{prefix}_{i}": ad.kaiming_conv(c, ci, 3, 3, rng)
+                for i, (c, ci) in enumerate(zip(self.config.channels, c_in))}
 
     def param_list(self) -> list[LayerParams]:
-        order = _SHARED_LAYER_ORDER + [n for n in _FIX_LAYER_ORDER if n in self.params]
-        return [self.params[n] for n in order]
+        return list(self.params.values())
 
     def _backbone(self, x: Tensor, prefix: str) -> Tensor:
-        h = ad.relu(ad.conv2d(x, self.params[prefix + "_0"], stride=1, pad=1))
-        h = ad.maxpool2d(h, 2, 2)
-        h = ad.relu(ad.conv2d(h, self.params[prefix + "_1"], stride=1, pad=1))
-        h = ad.maxpool2d(h, 2, 2)
-        h = ad.relu(ad.conv2d(h, self.params[prefix + "_2"], stride=1, pad=1))
-        h = ad.maxpool2d(h, 2, 2)
-        return ad.relu(ad.conv2d(h, self.params[prefix + "_3"], stride=1, pad=1))
+        """Four 3x3 conv + ReLU layers with a 2x2 max-pool between each pair."""
+        for i in range(len(self.config.channels)):
+            if i:
+                x = ad.maxpool2d(x, 2, 2)
+            x = ad.relu(ad.conv2d(x, self.params[f"{prefix}_{i}"], stride=1, pad=1))
+        return x
 
     def _as_grid_tensor(self, grid) -> Tensor:
         if isinstance(grid, FixationMap):
@@ -269,9 +248,9 @@ class DetectorModel:
                 gt_boxes: np.ndarray | None = None) -> DetectorOutput:
         """Run the full pipeline.
 
-        In train mode ``gt_boxes`` (if given) are appended to the RPN
-        proposals so the heads always see positives; in infer mode the
-        Detection list is attached.
+        In train mode ``gt_boxes`` (if given, a (G, 4) array, G >= 0) are
+        appended to the RPN proposals so the heads always see positives; in
+        infer mode the Detection list is attached.
         """
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -290,7 +269,7 @@ class DetectorModel:
         )
 
         proposals = self._select_proposals(rpn_obj.data, rpn_deltas.data)
-        if mode == "train" and gt_boxes is not None and len(gt_boxes):
+        if mode == "train" and gt_boxes is not None:
             proposals = np.concatenate([proposals, np.asarray(gt_boxes, dtype=np.float64)])
 
         pooled = roi_align(feat, proposals, cfg.feat_stride, cfg.roi_size)
@@ -301,7 +280,7 @@ class DetectorModel:
         m = ad.relu(ad.conv2d(pooled, self.params["mask_conv"], stride=1, pad=1))
         mask_logits = ad.conv2d(m, self.params["mask_out"])
 
-        out = DetectorOutput(self._anchors, rpn_obj, rpn_deltas, proposals,
+        out = DetectorOutput(self.anchors, rpn_obj, rpn_deltas, proposals,
                              cls_logits, box_deltas, mask_logits)
         if mode == "infer":
             out.detections = self._postprocess(out)
@@ -309,7 +288,7 @@ class DetectorModel:
 
     def _select_proposals(self, obj_logits: np.ndarray, deltas: np.ndarray) -> np.ndarray:
         cfg = self.config
-        decoded = bx.decode_boxes(self._anchors, deltas, cfg.img_size)
+        decoded = bx.decode_boxes(self.anchors, deltas, cfg.img_size)
         valid = (decoded[:, 2] - decoded[:, 0] >= 1.0) & (decoded[:, 3] - decoded[:, 1] >= 1.0)
         decoded = decoded[valid]
         scores = obj_logits[valid]
@@ -330,8 +309,6 @@ class DetectorModel:
         for c in range(1, cfg.n_classes + 1):
             sc = probs[:, c]
             sel = np.flatnonzero((sc >= cfg.score_thresh) & valid)
-            if len(sel) == 0:
-                continue
             keep = bx.nms(boxes[sel], sc[sel], cfg.infer_nms_thresh)
             for i in sel[keep]:
                 mask = 1.0 / (1.0 + np.exp(-out.mask_logits.data[i, c - 1]))
@@ -359,8 +336,7 @@ def assign_targets(candidates: np.ndarray, targets: list[TargetBox],
     matched = np.full(n, -1, dtype=np.int64)
     if not targets or n == 0:
         return AssignResult(labels, matched)
-    gt = np.stack([t.xyxy for t in targets])
-    ious = bx.iou_matrix(candidates, gt)
+    ious = bx.iou_matrix(candidates, _gt_boxes(targets))
     best_gt = ious.argmax(axis=1)
     best_iou = ious[np.arange(n), best_gt]
     labels[:] = -1
@@ -377,74 +353,62 @@ def assign_targets(candidates: np.ndarray, targets: list[TargetBox],
 
 def _sample_balanced(labels: np.ndarray, batch: int, pos_fraction: float,
                      rng: np.random.Generator) -> np.ndarray:
+    # rng.choice(a, 0, replace=False) returns an empty array and draws no
+    # numbers (numpy 2.4), so an empty side leaves the stream where it was
     pos = np.flatnonzero(labels == 1)
     neg = np.flatnonzero(labels == 0)
-    n_pos = min(len(pos), max(1, int(round(batch * pos_fraction)))) if len(pos) else 0
+    n_pos = min(len(pos), max(1, int(round(batch * pos_fraction))))
     n_neg = min(len(neg), batch - n_pos)
-    take_pos = rng.choice(pos, n_pos, replace=False) if n_pos else np.empty(0, np.intp)
-    take_neg = rng.choice(neg, n_neg, replace=False) if n_neg else np.empty(0, np.intp)
-    return np.sort(np.concatenate([take_pos, take_neg]).astype(np.intp))
+    take = [rng.choice(pos, n_pos, replace=False), rng.choice(neg, n_neg, replace=False)]
+    return np.sort(np.concatenate(take).astype(np.intp))
 
 
-def _mask_target(gt_mask: np.ndarray, roi: np.ndarray, out_size: int) -> np.ndarray:
-    """Resample the full-resolution binary mask inside a proposal to ROI size."""
-    h, w = gt_mask.shape
-    x0, y0, x1, y1 = roi
-    xs = x0 + (np.arange(out_size) + 0.5) * (x1 - x0) / out_size
-    ys = y0 + (np.arange(out_size) + 0.5) * (y1 - y0) / out_size
+def _mask_targets(masks: np.ndarray, rois: np.ndarray, gt_idx: np.ndarray,
+                  out_size: int) -> np.ndarray:
+    """(R, out_size, out_size) targets: ROI r samples mask ``gt_idx[r]`` of the
+    (G, H, W) stack at its cell centers, taking the pixel each falls in, clamped."""
+    _, h, w = masks.shape
+    t = np.arange(out_size) + 0.5
+    xs = rois[:, 0:1] + t * (rois[:, 2:3] - rois[:, 0:1]) / out_size
+    ys = rois[:, 1:2] + t * (rois[:, 3:4] - rois[:, 1:2]) / out_size
     xi = np.clip(np.floor(xs).astype(np.intp), 0, w - 1)
     yi = np.clip(np.floor(ys).astype(np.intp), 0, h - 1)
-    return gt_mask[np.ix_(yi, xi)].astype(np.float64)
+    return masks[gt_idx[:, None, None], yi[:, :, None], xi[:, None, :]].astype(np.float64)
 
 
 def compute_loss(out: DetectorOutput, targets: list[TargetBox], config: ModelConfig,
                  rng: np.random.Generator) -> LossBreakdown:
-    """Total loss = classification + bbox + mask (exact float sum)."""
-    zero = Tensor(0.0)
+    """Total loss = classification + bbox + mask (exact float sum); empty terms are 0."""
     gt = _gt_boxes(targets)
+    # class index + 1 per target; the trailing 0 is what matched == -1 picks
+    cls_of = np.array([int(t.label) + 1 for t in targets] + [0], dtype=np.int64)
 
     # RPN objectness + regression on anchors
     rpn_assign = assign_targets(out.anchors, targets, config.rpn_fg_thresh,
                                 config.rpn_bg_thresh, force_best=True)
     samp = _sample_balanced(rpn_assign.labels, config.rpn_batch, 0.5, rng)
-    if len(samp):
-        rpn_cls = ad.bce_with_logits(
-            ad.gather_rows(out.rpn_obj, samp), rpn_assign.labels[samp].astype(np.float64)
-        )
-    else:
-        rpn_cls = zero
+    rpn_cls = ad.bce_with_logits(
+        ad.gather_rows(out.rpn_obj, samp), rpn_assign.labels[samp].astype(np.float64)
+    )
     pos_a = np.flatnonzero(rpn_assign.labels == 1)
-    if len(pos_a):
-        reg_t = bx.encode_boxes(out.anchors[pos_a], gt[rpn_assign.matched[pos_a]])
-        rpn_box = ad.smooth_l1(ad.gather_rows(out.rpn_deltas, pos_a), reg_t)
-    else:
-        rpn_box = zero
+    reg_t = bx.encode_boxes(out.anchors[pos_a], gt[rpn_assign.matched[pos_a]])
+    rpn_box = ad.smooth_l1(ad.gather_rows(out.rpn_deltas, pos_a), reg_t)
 
     # head terms over sampled proposals
-    head_ce = head_box = mask_loss = zero
     head_assign = assign_targets(out.proposals, targets, config.head_fg_thresh,
                                  config.head_bg_thresh, force_best=False)
     hsamp = _sample_balanced(head_assign.labels, config.proposals_per_step,
                              config.pos_fraction, rng)
-    if len(hsamp):
-        # class index + 1 per target; the trailing 0 is what matched == -1 picks
-        cls_of = np.array([int(t.label) + 1 for t in targets] + [0], dtype=np.int64)
-        matched = head_assign.matched[hsamp]
-        head_ce = ad.softmax_cross_entropy(
-            ad.gather_rows(out.cls_logits, hsamp), cls_of[matched]
-        )
-        is_pos = matched >= 0
-        pos_p, pos_gt = hsamp[is_pos], matched[is_pos]
-        if len(pos_p):
-            reg_t = bx.encode_boxes(out.proposals[pos_p], gt[pos_gt])
-            head_box = ad.smooth_l1(ad.gather_rows(out.box_deltas, pos_p), reg_t)
-            mt = np.stack([
-                _mask_target(targets[g].mask, out.proposals[i], config.roi_size)
-                for i, g in zip(pos_p, pos_gt)
-            ])
-            sel = ad.take_channel_per_row(ad.gather_rows(out.mask_logits, pos_p),
-                                          cls_of[pos_gt] - 1)
-            mask_loss = ad.bce_with_logits(sel, mt)
+    matched = head_assign.matched[hsamp]
+    head_ce = ad.softmax_cross_entropy(ad.gather_rows(out.cls_logits, hsamp), cls_of[matched])
+    is_pos = matched >= 0
+    pos_p, pos_gt = hsamp[is_pos], matched[is_pos]
+    reg_t = bx.encode_boxes(out.proposals[pos_p], gt[pos_gt])
+    head_box = ad.smooth_l1(ad.gather_rows(out.box_deltas, pos_p), reg_t)
+    masks = np.array([t.mask for t in targets]).reshape(-1, config.img_size, config.img_size)
+    mt = _mask_targets(masks, out.proposals[pos_p], pos_gt, config.roi_size)
+    sel = ad.take_channel_per_row(ad.gather_rows(out.mask_logits, pos_p), cls_of[pos_gt] - 1)
+    mask_loss = ad.bce_with_logits(sel, mt)
 
     cls_t = rpn_cls + head_ce
     box_t = rpn_box + head_box
@@ -456,7 +420,7 @@ def compute_loss(out: DetectorOutput, targets: list[TargetBox], config: ModelCon
 
 
 def _gt_boxes(targets: list[TargetBox]) -> np.ndarray:
-    return np.stack([t.xyxy for t in targets]) if targets else np.zeros((0, 4))
+    return np.array([t.xyxy for t in targets], dtype=np.float64).reshape(-1, 4)
 
 
 def train_loss(model: DetectorModel, image, fmap, targets: list[TargetBox],
@@ -555,7 +519,7 @@ def load_checkpoint(path: str) -> DetectorModel:
     if set(cfg_dict) != known:
         raise ValueError(f"{path}: config keys unknown {sorted(set(cfg_dict) - known)}, "
                          f"missing {sorted(known - set(cfg_dict))}")
-    for key in ("anchor_scales", "anchor_ratios", "channels"):
+    for key in ("anchor_scales", "channels"):
         cfg_dict[key] = tuple(cfg_dict[key])
     model = DetectorModel(ModelConfig(**cfg_dict))
     missing = sorted(set(model.params) - set(payload["params"]))
@@ -583,11 +547,6 @@ def predictions_to_json(dets_by_reading: dict[str, list[Detection]]) -> list[dic
     return rows
 
 
-def _finite(v) -> bool:
-    """A JSON number (not a bool) that is a finite float."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
-
-
 def predictions_from_json(rows: list[dict], roi_size: int = 7) -> dict[str, list[Detection]]:
     """Detections per reading from the rows of a predictions file.
 
@@ -608,14 +567,14 @@ def predictions_from_json(rows: list[dict], roi_size: int = 7) -> dict[str, list
         rid, box, label, score = row["reading_id"], row["box"], row["label"], row["score"]
         if not isinstance(rid, str):
             raise ValueError(f"row {i}: reading_id {rid!r} is not a string")
-        if not (isinstance(box, list) and len(box) == 4 and all(map(_finite, box))
+        if not (isinstance(box, list) and len(box) == 4 and all(map(is_finite_number, box))
                 and box[0] < box[2] and box[1] < box[3]):
             raise ValueError(f"row {i}: box {box!r} is not four finite numbers "
                              "with x0 < x1 and y0 < y1")
         if label not in CLASS_NAMES.values():
             raise ValueError(f"row {i}: label {label!r} is not one of "
                              f"{sorted(NAME_TO_CLASS)}")
-        if not (_finite(score) and 0.0 <= score <= 1.0):
+        if not (is_finite_number(score) and 0.0 <= score <= 1.0):
             raise ValueError(f"row {i}: score {score!r} is not a finite number in [0, 1]")
         det = Detection(
             box=np.asarray(box, dtype=np.float64),

@@ -150,7 +150,6 @@ def end_to_end_config(seed: int) -> dt.ModelConfig:
         fusion_mode="sum",
         fusion_point="feature",
         anchor_scales=(10.0, 20.0),
-        anchor_ratios=(1.0,),
         post_nms_top=0,
         roi_size=3,
         n_classes=2,

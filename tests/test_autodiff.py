@@ -394,3 +394,19 @@ class TestNoGrad:
         after = self.grads()
         for a, b in zip(before, after):
             assert np.array_equal(a, b)
+
+
+class TestZeroRowLosses:
+    """A loss over zero rows is exactly 0.0 and sends back a zero-size gradient."""
+
+    @pytest.mark.parametrize("shape, loss", [
+        ((0, 6), lambda x: ad.softmax_cross_entropy(x, np.zeros(0, dtype=np.int64))),
+        ((0, 5, 7, 7), lambda x: ad.bce_with_logits(x, np.zeros((0, 5, 7, 7)))),
+        ((0, 4), lambda x: ad.smooth_l1(x, np.zeros((0, 4)))),
+    ], ids=["softmax_cross_entropy", "bce_with_logits", "smooth_l1"])
+    def test_zero_rows_give_zero_loss_and_empty_grad(self, shape, loss):
+        x = Tensor(np.zeros(shape), requires_grad=True)
+        out = loss(x)
+        assert out.item() == 0.0
+        out.backward()
+        assert x.grad.shape == shape

@@ -23,6 +23,28 @@ class TestGenerateAnchors:
         assert np.all(anchors[:, 2] <= 64) and np.all(anchors[:, 3] <= 64)
 
 
+def anchors_reference(feat_h, feat_w, stride, scales, ratios, img_size):
+    """One anchor per (cell, scale, ratio) in that nesting order, clipped."""
+    rows = []
+    for i in range(feat_h):
+        for j in range(feat_w):
+            y, x = (i + 0.5) * stride, (j + 0.5) * stride
+            for s in scales:
+                for r in ratios:
+                    h, w = s * np.sqrt(r), s / np.sqrt(r)
+                    rows.append([x - w / 2, y - h / 2, x + w / 2, y + h / 2])
+    return np.clip(np.array(rows), 0.0, float(img_size))
+
+
+class TestGenerateAnchorsReference:
+    @pytest.mark.parametrize("feat_h, feat_w", [(3, 5), (5, 2), (1, 1)])
+    def test_matches_loop_order_with_three_ratios(self, feat_h, feat_w):
+        args = (feat_h, feat_w, 8, [8.0, 20.0], [0.5, 1.0, 2.0], 40)
+        anchors = bx.generate_anchors(*args)
+        assert anchors.shape == (feat_h * feat_w * 6, 4)
+        assert np.array_equal(anchors, anchors_reference(*args))
+
+
 class TestDeltaCodec:
     def test_zero_deltas_identity(self):
         anchors = np.array([[10.0, 10.0, 30.0, 40.0], [0.0, 0.0, 8.0, 8.0]])

@@ -122,6 +122,30 @@ class TestLoadReading:
         msg = str(info.value)
         assert "annotations.json[1]" in msg and "(70.5, 10.0)" in msg and "64x64" in msg
 
+    @pytest.mark.parametrize("entry, field, value", [
+        ('{"cx": NaN, "cy": 30, "rx": 5, "ry": 4, "label": "Atelectasis"}', "cx", "nan"),
+        ('{"cx": 30, "cy": 30, "rx": Infinity, "ry": 4, "label": "Atelectasis"}', "rx", "inf"),
+        ('{"cx": "abc", "cy": 30, "rx": 5, "ry": 4, "label": "Atelectasis"}', "cx", "'abc'"),
+        ('{"cx": 30, "cy": true, "rx": 5, "ry": 4, "label": "Atelectasis"}', "cy", "True"),
+        ('{"cx": 30, "cy": 30, "rx": 5, "ry": -Infinity, "label": "Atelectasis"}', "ry", "-inf"),
+        ('[30, 30, 5, 4]', "object", "[30, 30, 5, 4]"),
+    ], ids=["nan_cx", "inf_rx", "string_cx", "bool_cy", "neg_inf_ry", "not_an_object"])
+    def test_bad_annotation_names_file_entry_field_value(self, tmp_path, entry, field, value):
+        with pytest.raises(ValueError) as info:
+            ds.load_reading(self._write_reading(tmp_path, f"[{entry}]"))
+        msg = str(info.value)
+        assert "annotations.json[0]" in msg and field in msg and value in msg
+
+
+class TestEllipseAnnotation:
+    @pytest.mark.parametrize("values", [
+        (np.nan, 30.0, 5.0, 4.0), (30.0, np.inf, 5.0, 4.0),
+        (30.0, 30.0, np.nan, 4.0), (30.0, 30.0, 5.0, np.inf),
+    ])
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(ValueError, match="finite"):
+            EllipseAnnotation(*values, ClassLabel.ATELECTASIS)
+
 
 class TestSynthGenerate:
     def test_deterministic(self):
@@ -210,3 +234,24 @@ class TestSplit:
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError, match=r"non-negative.*\(0\.9, 0\.3, -0\.2\)"):
             ds.split(self._readings(10), (0.9, 0.3, -0.2), 0)
+
+
+class TestLoadDatasetManifest:
+    """A malformed manifest.json fails with a ValueError naming the file,
+    the entry and the value, not with a KeyError or a traceback."""
+
+    @pytest.mark.parametrize("manifest, where", [
+        ({}, "None"),
+        ([{"id": "r0"}], "[{'id': 'r0'}]"),
+        ({"readings": "x"}, "'x'"),
+        ({"readings": [{"split": "train"}]}, "readings[0]"),
+        ({"readings": [5]}, "readings[0] 5"),
+        ({"readings": [{"id": 3, "split": "train"}]}, "readings[0]"),
+    ], ids=["no_readings", "top_level_list", "readings_not_a_list", "entry_without_id",
+            "entry_not_an_object", "id_not_a_string"])
+    def test_bad_manifest_names_file_and_entry(self, tmp_path, manifest, where):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as info:
+            ds.load_dataset(str(tmp_path), "train")
+        msg = str(info.value)
+        assert str(tmp_path / "manifest.json") in msg and where in msg

@@ -295,6 +295,24 @@ class TestComputeLoss:
         assert loss.classification > 0.0
 
 
+class TestMaskTargets:
+    # mask g holds 20 * g + 5 * y + x at pixel (y, x), so each value names its source
+    MASKS = np.arange(40, dtype=np.uint8).reshape(2, 4, 5)
+
+    def test_hand_worked_cell_centres(self):
+        rois = np.array([[0.0, 0.0, 4.0, 4.0],     # centres x, y = 1, 3
+                         [3.0, -2.0, 9.0, 6.0]])   # x = 4.5, 7.5; y = 0, 4: past the edge
+        out = dt._mask_targets(self.MASKS, rois, np.array([1, 0]), 2)
+        assert out.dtype == np.float64
+        expected = [[[26, 28], [36, 38]],   # mask 1 at y in (1, 3), x in (1, 3)
+                    [[4, 4], [19, 19]]]     # mask 0, x clamped to 4, y to (0, 3)
+        assert np.array_equal(out, expected)
+
+    def test_zero_rows(self):
+        out = dt._mask_targets(self.MASKS, np.zeros((0, 4)), np.zeros(0, dtype=np.intp), 7)
+        assert out.shape == (0, 7, 7)
+
+
 def saved_payload(tmp_path):
     """A saved default checkpoint's path and its parsed JSON payload."""
     path = tmp_path / "ckpt.json"

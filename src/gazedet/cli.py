@@ -20,6 +20,7 @@ from . import gradchecks
 from . import metrics as mx
 from . import trainer as tr
 from .autodiff import NumericsError
+from .fileio import json_check, read_json
 from .detector import (
     ModelConfig,
     load_checkpoint,
@@ -75,10 +76,7 @@ def _write_report(args, dets, readings, model_tag: str) -> None:
 
 
 def _load_split(args):
-    train = ds.load_dataset(args.dataset, "train")
-    val = ds.load_dataset(args.dataset, "val")
-    test = ds.load_dataset(args.dataset, "test")
-    return train, val, test
+    return tuple(ds.load_dataset(args.dataset, split) for split in ("train", "val", "test"))
 
 
 # ---------------------------------------------------------------------------
@@ -210,41 +208,48 @@ def cmd_report(args, seed: int) -> int:
 # argument wiring
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (falls back to GFD_SEED, then 0)")
-    p.add_argument("--config", type=str, default=None, help="JSON file of flag defaults")
-
-
-def _add_model_flags(p):
+def _add_train_flags(p):
     p.add_argument("--fusion", choices=("sum", "mul"), default="sum")
     p.add_argument("--fusion-point", dest="fusion_point",
                    choices=("input", "feature"), default="feature")
-
-
-def _add_train_flags(p):
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--momentum", type=float, default=0.9)
+
+
+def _add_report_flags(p, split: bool = True):
+    if split:
+        p.add_argument("--split", default="test")
+    p.add_argument("--out", required=True)
+    p.add_argument("--metric", choices=("iobb", "iou"), default="iobb")
+    p.add_argument("--thresh", type=float, default=0.5)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gazedet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p)
+    def command(func, help: str):
+        """The subparser that runs ``func`` (``cmd_<name>``), with the common flags."""
+        p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=help)
+        p.add_argument("--seed", type=int, default=None,
+                       help="RNG seed (falls back to GFD_SEED, then 0)")
+        p.add_argument("--config", type=str, default=None, help="JSON file of flag defaults")
+        p.set_defaults(func=func)
+        return p
+
+    p = command(cmd_synth, "generate a synthetic dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size", type=int, default=64)
-    p.add_argument("--classes", type=int, nargs="+", default=[0, 1])
+    p.add_argument("--classes", type=int, nargs="+", default=[0, 1],
+                   choices=range(len(ds.ClassLabel)))
     p.add_argument("--lesions-min", type=int, default=1)
     p.add_argument("--lesions-max", type=int, default=2)
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--val-frac", type=float, default=0.1)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("fixations", help="gaze CSV -> fixation CSV")
-    _add_common(p)
+    p = command(cmd_fixations, "gaze CSV -> fixation CSV")
     p.add_argument("--gaze", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dispersion", type=float, default=gz.DEFAULT_DISPERSION_PX)
@@ -252,10 +257,8 @@ def build_parser() -> _Parser:
     p.add_argument("--width", type=int, default=0)
     p.add_argument("--height", type=int, default=0)
     p.add_argument("--margin", type=float, default=0.0)
-    p.set_defaults(func=cmd_fixations)
 
-    p = sub.add_parser("heatmap", help="fixation CSV -> PGM heatmap")
-    _add_common(p)
+    p = command(cmd_heatmap, "fixation CSV -> PGM heatmap")
     p.add_argument("--fixations", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--width", type=int, required=True)
@@ -264,74 +267,59 @@ def build_parser() -> _Parser:
     p.add_argument("--weighting", choices=("duration", "uniform"), default="duration")
     p.add_argument("--binarize", type=float, default=None)
     p.add_argument("--float-out", dest="float_out", default=None)
-    p.set_defaults(func=cmd_heatmap)
 
-    p = sub.add_parser("train", help="train one model arm")
-    _add_common(p)
-    _add_model_flags(p)
+    p = command(cmd_train, "train one model arm")
     _add_train_flags(p)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--fixations", action="store_true", help="train the multimodal arm")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    _add_common(p)
+    p = command(cmd_eval, "evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--out", required=True)
-    p.add_argument("--metric", choices=("iobb", "iou"), default="iobb")
-    p.add_argument("--thresh", type=float, default=0.5)
-    p.set_defaults(func=cmd_eval)
+    _add_report_flags(p)
 
-    p = sub.add_parser("compare", help="train/eval image-only vs multimodal")
-    _add_common(p)
-    _add_model_flags(p)
+    p = command(cmd_compare, "train/eval image-only vs multimodal")
     _add_train_flags(p)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--metric", choices=("iobb", "iou"), default="iobb")
-    p.add_argument("--thresh", type=float, default=0.5)
+    _add_report_flags(p, split=False)
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    _add_common(p)
+    p = command(cmd_gradcheck, "finite-difference gradient suite")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--skip-e2e", action="store_true")
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("report", help="re-render a report from predictions JSON")
-    _add_common(p)
+    p = command(cmd_report, "re-render a report from predictions JSON")
     p.add_argument("--predictions", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--split", default="test")
-    p.add_argument("--out", required=True)
-    p.add_argument("--metric", choices=("iobb", "iou"), default="iobb")
-    p.add_argument("--thresh", type=float, default=0.5)
-    p.set_defaults(func=cmd_report)
+    _add_report_flags(p)
 
     return parser
 
 
 def _apply_config_file(parser, argv):
-    """Parse once to find --config, re-parse with its values as defaults."""
+    """Parse once to find --config, then again with its entries as flag
+    tokens ahead of the explicit ones, which therefore win. For a switch,
+    ``true`` is the bare flag and ``false`` nothing; any other entry is the
+    flag and its value, or each item of a list, as JSON text unless a string."""
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            overrides = json.load(fh)
-        unknown = set(overrides) - set(vars(args))
+    if args.config:
+        overrides = json_check(read_json(args.config), dict, args.config)
+        unknown = sorted(set(overrides) - (set(vars(args)) - {"config", "func", "command"}))
         if unknown:
-            raise CliError(f"unknown keys in config file: {sorted(unknown)}")
-        # defaults must land on the subparser actually in use, not the root
-        subparsers = [a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction)]
+            raise CliError(f"{args.config}: unknown keys in config file: {unknown}")
+        tokens = []
         for key, value in overrides.items():
-            parser.set_defaults(**{key: value})
-            for sub in subparsers:
-                sub.choices[args.command].set_defaults(**{key: value})
-        args = parser.parse_args(argv)
+            flag = "--" + key.replace("_", "-")
+            if isinstance(getattr(args, key), bool) and isinstance(value, bool):
+                tokens += [flag] if value else []
+            else:
+                items = value if isinstance(value, list) else [value]
+                tokens += [flag] + [v if isinstance(v, str) else json.dumps(v) for v in items]
+        try:  # argv alone parsed, so a failure here is the config file's
+            args = parser.parse_args(argv[:1] + tokens + argv[1:])
+        except CliError as exc:
+            raise CliError(f"{args.config}: {exc}") from exc
     return args
 
 
@@ -343,7 +331,7 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args)
         _print_resolved(args, seed)
         return args.func(args, seed)
-    except (CliError, ValueError, FileNotFoundError, KeyError, NumericsError) as exc:
+    except (CliError, ValueError, OSError, NumericsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -21,14 +21,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
 
 from . import gaze as gz
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, json_check, json_field, read_json
 
 
 class ClassLabel(IntEnum):
@@ -136,26 +135,21 @@ def reading_targets(reading: Reading) -> list[TargetBox]:
 # disk I/O
 
 
-def is_finite_number(v) -> bool:
-    """A JSON number (not a bool) that is a finite float."""
-    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+def label_from_json(obj, where: str) -> ClassLabel:
+    """The class named by the ``label`` field of the JSON object ``obj``."""
+    name = json_field(obj, "label", str, where)
+    if name not in NAME_TO_CLASS:
+        raise ValueError(f"{where}: label {name!r} is not one of {sorted(NAME_TO_CLASS)}")
+    return NAME_TO_CLASS[name]
 
 
 def _annotation_from_json(obj, img_w: int, img_h: int, where: str) -> EllipseAnnotation:
     """An object with finite numbers ``cx``, ``cy``, ``rx``, ``ry`` and a known
     ``label``, not wholly outside the image; anything else raises ValueError
     naming ``where``, the field and the value."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected an object, got {obj!r}")
-    for key in ("cx", "cy", "rx", "ry"):
-        if not is_finite_number(obj.get(key)):
-            raise ValueError(f"{where}: {key} {obj[key]!r} is not a finite number"
-                             if key in obj else f"{where}: missing field {key!r}")
-    if obj.get("label") not in NAME_TO_CLASS:
-        raise ValueError(f"{where}: label {obj.get('label')!r} is not one of "
-                         f"{sorted(NAME_TO_CLASS)}")
-    e = EllipseAnnotation(cx=float(obj["cx"]), cy=float(obj["cy"]), rx=float(obj["rx"]),
-                          ry=float(obj["ry"]), label=NAME_TO_CLASS[obj["label"]])
+    cx, cy, rx, ry = (float(json_field(obj, key, float, where))
+                      for key in ("cx", "cy", "rx", "ry"))
+    e = EllipseAnnotation(cx, cy, rx, ry, label_from_json(obj, where))
     _check_in_frame(e, img_w, img_h, f"{where}: ")
     return e
 
@@ -165,13 +159,10 @@ def load_reading(path: str) -> Reading:
     img_path = os.path.join(path, "image.pgm")
     ann_path = os.path.join(path, "annotations.json")
     image = gz.read_pgm(img_path)
-    with open(ann_path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise ValueError(f"{ann_path}: expected a JSON array")
     h, w = image.shape
     annotations = [
-        _annotation_from_json(obj, w, h, f"{ann_path}[{i}]") for i, obj in enumerate(raw)
+        _annotation_from_json(obj, w, h, f"{ann_path}[{i}]")
+        for i, obj in enumerate(json_check(read_json(ann_path), list, ann_path))
     ]
 
     gaze_path = os.path.join(path, "gaze.csv")
@@ -227,20 +218,13 @@ def load_dataset(root: str, split: str | None = None) -> list[Reading]:
     """The readings of ``split`` (all when None), in manifest order; a bad
     manifest raises ValueError naming the file, the entry and the value."""
     man_path = os.path.join(root, "manifest.json")
-    with open(man_path) as fh:
-        manifest = json.load(fh)
-    entries = manifest.get("readings") if isinstance(manifest, dict) else manifest
-    if not (isinstance(manifest, dict) and isinstance(entries, list)):
-        raise ValueError(f"{man_path}: expected an object with a 'readings' list, "
-                         f"got {entries!r:.60}")
     readings = []
-    for i, entry in enumerate(entries):
-        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)):
-            raise ValueError(f"{man_path}: readings[{i}] {entry!r} is not an object "
-                             "with a string 'id'")
-        if split is not None and entry.get("split") != split:
+    for i, entry in enumerate(json_field(read_json(man_path), "readings", list, man_path)):
+        rid, part = (json_field(entry, key, str, f"{man_path}: readings[{i}]")
+                     for key in ("id", "split"))
+        if split is not None and part != split:
             continue
-        readings.append(load_reading(os.path.join(root, "readings", entry["id"])))
+        readings.append(load_reading(os.path.join(root, "readings", rid)))
     return readings
 
 

@@ -27,8 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from . import boxes as bx
 from .autodiff import LayerParams, Tensor
-from .dataset import ClassLabel, CLASS_NAMES, NAME_TO_CLASS, TargetBox, is_finite_number
-from .fileio import atomic_write_text
+from .dataset import ClassLabel, CLASS_NAMES, TargetBox, label_from_json
+from .fileio import atomic_write_text, json_check, json_field, read_json
 from .gaze import FixationMap
 
 CHECKPOINT_FORMAT = "gazedet-checkpoint-v3"
@@ -461,12 +461,10 @@ def _decode_array(entry, shape: tuple, where: str) -> np.ndarray:
     ``shape``, text outside the base64 alphabet, a byte count other than
     ``8 * prod(shape)`` or a non-finite value.
     """
-    if not isinstance(entry, dict) or entry.get("shape") != list(shape):
-        got = entry.get("shape") if isinstance(entry, dict) else entry
-        raise ValueError(f"{where}: shape {got!r}, the model's layer has {list(shape)}")
-    text = entry.get("f64_base64")
-    if not isinstance(text, str):
-        raise ValueError(f"{where}: f64_base64 is {type(text).__name__}, not base64 text")
+    if json_check(entry, dict, where).get("shape") != list(shape):
+        raise ValueError(f"{where}: shape {entry.get('shape')!r}, "
+                         f"the model's layer has {list(shape)}")
+    text = json_field(entry, "f64_base64", str, where)
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII str
@@ -504,33 +502,47 @@ def save_checkpoint(path: str, model: DetectorModel) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _config_from_json(obj: dict, where: str) -> dict:
+    """The ``ModelConfig`` keyword arguments saved in ``obj``. Each field
+    holds the JSON kind of its default; a tuple default is saved as a list
+    whose items hold the kind of its first item. Errors name ``where``."""
+    defaults = {f.name: f.default for f in fields(ModelConfig)}
+    unknown = sorted(set(obj) - set(defaults))
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    values = {}
+    for name, default in defaults.items():
+        if isinstance(default, tuple):
+            items = json_field(obj, name, list, where)
+            values[name] = tuple(json_check(v, type(default[0]), f"{where}: {name}[{i}]")
+                                 for i, v in enumerate(items))
+        else:
+            values[name] = json_field(obj, name, type(default), where)
+    return values
+
+
 def load_checkpoint(path: str) -> DetectorModel:
     """Read a file written by ``save_checkpoint``; errors name the file."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise ValueError(f"{path}: not a JSON file: {exc}") from exc
+    payload = read_json(path)
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
-    cfg_dict = dict(payload["config"])
-    known = {f.name for f in fields(ModelConfig)}
-    if set(cfg_dict) != known:
-        raise ValueError(f"{path}: config keys unknown {sorted(set(cfg_dict) - known)}, "
-                         f"missing {sorted(known - set(cfg_dict))}")
-    for key in ("anchor_scales", "channels"):
-        cfg_dict[key] = tuple(cfg_dict[key])
-    model = DetectorModel(ModelConfig(**cfg_dict))
-    missing = sorted(set(model.params) - set(payload["params"]))
-    if missing:
-        raise ValueError(f"{path}: missing layers {missing}")
-    for name, entry in payload["params"].items():
-        if name not in model.params:
-            raise ValueError(f"{path}: unexpected layer {name!r}")
-        p = model.params[name]
+    where = f"{path}: config"
+    values = _config_from_json(json_field(payload, "config", dict, path), where)
+    try:
+        model = DetectorModel(ModelConfig(**values))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    params = json_field(payload, "params", dict, path)
+    unexpected = sorted(set(params) - set(model.params))
+    if unexpected:
+        raise ValueError(f"{path}: unexpected layers {unexpected}")
+    for name, p in model.params.items():
+        entry = json_field(params, name, dict, f"{path}: params")
+        where = f"{path}: layer {name!r}"
         for fld, t in (("weights", p.weights), ("bias", p.bias)):
-            t.data = _decode_array(entry[fld], t.data.shape, f"{path}: layer {name!r} {fld}")
+            t.data = _decode_array(json_field(entry, fld, dict, where), t.data.shape,
+                                   f"{where} {fld}")
     return model
 
 
@@ -547,40 +559,31 @@ def predictions_to_json(dets_by_reading: dict[str, list[Detection]]) -> list[dic
     return rows
 
 
-def predictions_from_json(rows: list[dict], roi_size: int = 7) -> dict[str, list[Detection]]:
+def predictions_from_json(rows, where: str = "predictions") -> dict[str, list[Detection]]:
     """Detections per reading from the rows of a predictions file.
 
     A row is an object with a string ``reading_id``, a ``box`` of four
     finite numbers with x0 < x1 and y0 < y1, a known class ``label`` and a
-    finite ``score`` in [0, 1]. Anything else raises ValueError naming the
-    row, the field and the value.
+    finite ``score`` in [0, 1]. Anything else raises ValueError naming
+    ``where``, the row, the field and the value.
     """
-    if not isinstance(rows, list):
-        raise ValueError(f"expected a JSON list of rows, got {type(rows).__name__}")
     out: dict[str, list[Detection]] = {}
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError(f"row {i}: expected an object, got {row!r}")
-        missing = [k for k in ("reading_id", "box", "label", "score") if k not in row]
-        if missing:
-            raise ValueError(f"row {i}: missing fields {missing}")
-        rid, box, label, score = row["reading_id"], row["box"], row["label"], row["score"]
-        if not isinstance(rid, str):
-            raise ValueError(f"row {i}: reading_id {rid!r} is not a string")
-        if not (isinstance(box, list) and len(box) == 4 and all(map(is_finite_number, box))
-                and box[0] < box[2] and box[1] < box[3]):
-            raise ValueError(f"row {i}: box {box!r} is not four finite numbers "
-                             "with x0 < x1 and y0 < y1")
-        if label not in CLASS_NAMES.values():
-            raise ValueError(f"row {i}: label {label!r} is not one of "
-                             f"{sorted(NAME_TO_CLASS)}")
-        if not (is_finite_number(score) and 0.0 <= score <= 1.0):
-            raise ValueError(f"row {i}: score {score!r} is not a finite number in [0, 1]")
+    for i, row in enumerate(json_check(rows, list, where)):
+        at = f"{where}: row {i}"
+        rid = json_field(row, "reading_id", str, at)
+        box = [json_check(v, float, f"{at}: box[{j}]")
+               for j, v in enumerate(json_field(row, "box", list, at))]
+        if not (len(box) == 4 and box[0] < box[2] and box[1] < box[3]):
+            raise ValueError(f"{at}: box {box!r} is not four numbers with x0 < x1 and y0 < y1")
+        label = label_from_json(row, at)
+        score = json_field(row, "score", float, at)
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"{at}: score {score!r} is not in [0, 1]")
         det = Detection(
             box=np.asarray(box, dtype=np.float64),
-            label=NAME_TO_CLASS[label],
+            label=label,
             score=float(score),
-            mask=np.zeros((roi_size, roi_size)),
+            mask=np.zeros((ModelConfig.roi_size, ModelConfig.roi_size)),
         )
         out.setdefault(rid, []).append(det)
     return out
@@ -588,11 +591,7 @@ def predictions_from_json(rows: list[dict], roi_size: int = 7) -> dict[str, list
 
 def load_predictions(path: str) -> dict[str, list[Detection]]:
     """Read a file written by ``save_predictions``; errors name the file."""
-    try:
-        with open(path) as fh:
-            return predictions_from_json(json.load(fh))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return predictions_from_json(read_json(path), path)
 
 
 def save_predictions(path: str, dets_by_reading: dict[str, list[Detection]]) -> None:

@@ -25,8 +25,13 @@ def _rand(rng, *shape, lo=-2.0, hi=2.0):
     return rng.uniform(lo, hi, size=shape)
 
 
-def check_conv2d(seed: int) -> float:
-    rng = np.random.default_rng(seed)
+def _signed(rng, lo, hi, shape):
+    """Magnitudes in [lo, hi) with random signs: central differences fail at a kink at 0."""
+    return rng.uniform(lo, hi, size=shape) * np.where(rng.random(shape) < 0.5, -1, 1)
+
+
+# Each op check draws its inputs from ``rng`` and returns grad_check's error.
+def check_conv2d(rng) -> float:
     x = Tensor(_rand(rng, 1, 2, 6, 6), requires_grad=True)
     p = ad.kaiming_conv(3, 2, 3, 3, rng)
 
@@ -36,13 +41,12 @@ def check_conv2d(seed: int) -> float:
     return grad_check(f, [x, p.weights, p.bias])
 
 
-def check_conv2d_batched(seed: int) -> float:
+def check_conv2d_batched(rng) -> float:
     """A batch of ROIs through a 3x3, pad-1 conv, shaped like the mask head.
 
     The output is weighted by a fixed random map before the sum, so each
     output cell sends its own gradient back.
     """
-    rng = np.random.default_rng(seed)
     x = Tensor(_rand(rng, 3, 2, 4, 4), requires_grad=True)
     p = ad.kaiming_conv(3, 2, 3, 3, rng)
     weight = Tensor(_rand(rng, 3, 3, 4, 4))
@@ -54,8 +58,7 @@ def check_conv2d_batched(seed: int) -> float:
     return grad_check(f, [x, p.weights, p.bias])
 
 
-def check_linear(seed: int) -> float:
-    rng = np.random.default_rng(seed)
+def check_linear(rng) -> float:
     x = Tensor(_rand(rng, 3, 5), requires_grad=True)
     p = ad.kaiming_linear(4, 5, rng)
 
@@ -65,28 +68,22 @@ def check_linear(seed: int) -> float:
     return grad_check(f, [x, p.weights, p.bias])
 
 
-def check_relu(seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    # keep inputs away from the kink so central differences are valid
-    x = rng.uniform(0.1, 2.0, size=(4, 4)) * np.where(rng.random((4, 4)) < 0.5, -1, 1)
-    t = Tensor(x, requires_grad=True)
+def check_relu(rng) -> float:
+    t = Tensor(_signed(rng, 0.1, 2.0, (4, 4)), requires_grad=True)
     return grad_check(lambda t: ad.tensor_sum(ad.relu(t)), [t])
 
 
-def check_sigmoid(seed: int) -> float:
-    rng = np.random.default_rng(seed)
+def check_sigmoid(rng) -> float:
     t = Tensor(_rand(rng, 3, 3, lo=-4, hi=4), requires_grad=True)
     return grad_check(lambda t: ad.tensor_sum(ad.sigmoid(t)), [t])
 
 
-def check_maxpool(seed: int) -> float:
-    rng = np.random.default_rng(seed)
+def check_maxpool2d(rng) -> float:
     t = Tensor(_rand(rng, 1, 2, 6, 6), requires_grad=True)
     return grad_check(lambda t: ad.tensor_sum(ad.maxpool2d(t, 2, 2)), [t])
 
 
-def check_combine(seed: int) -> float:
-    rng = np.random.default_rng(seed)
+def check_elementwise_combine(rng) -> float:
     a = Tensor(_rand(rng, 3, 3), requires_grad=True)
     b = Tensor(_rand(rng, 3, 3), requires_grad=True)
     e_sum = grad_check(lambda a, b: ad.tensor_sum(ad.elementwise_combine(a, b, "sum")), [a, b])
@@ -94,32 +91,28 @@ def check_combine(seed: int) -> float:
     return max(e_sum, e_mul)
 
 
-def check_softmax_ce(seed: int) -> float:
-    rng = np.random.default_rng(seed)
+def check_softmax_cross_entropy(rng) -> float:
     z = Tensor(_rand(rng, 4, 3), requires_grad=True)
     labels = rng.integers(0, 3, size=4)
     return grad_check(lambda z: ad.softmax_cross_entropy(z, labels), [z])
 
 
-def check_bce(seed: int) -> float:
-    rng = np.random.default_rng(seed)
+def check_bce_with_logits(rng) -> float:
     z = Tensor(_rand(rng, 3, 4), requires_grad=True)
     t = rng.integers(0, 2, size=(3, 4)).astype(np.float64)
     return grad_check(lambda z: ad.bce_with_logits(z, t), [z])
 
 
-def check_smooth_l1(seed: int) -> float:
-    rng = np.random.default_rng(seed)
+def check_smooth_l1(rng) -> float:
     # keep residuals away from |x| = 1 where smooth-L1 second derivative jumps
     t = np.zeros((3, 4))
-    x = rng.uniform(0.1, 0.8, size=(3, 4)) * np.where(rng.random((3, 4)) < 0.5, -1, 1)
+    x = _signed(rng, 0.1, 0.8, (3, 4))
     x[0] += np.sign(x[0]) * 1.5  # exercise the linear branch too
     z = Tensor(x, requires_grad=True)
     return grad_check(lambda z: ad.smooth_l1(z, t), [z])
 
 
-def check_roi_align(seed: int) -> float:
-    rng = np.random.default_rng(seed)
+def check_roi_align(rng) -> float:
     feat = Tensor(_rand(rng, 1, 2, 4, 4), requires_grad=True)
     rois = np.array([[1.0, 2.0, 9.5, 11.0], [0.0, 0.0, 16.0, 16.0]])
     return grad_check(
@@ -127,19 +120,10 @@ def check_roi_align(seed: int) -> float:
     )
 
 
-OP_CHECKS = [
-    ("conv2d", check_conv2d),
-    ("conv2d_batched", check_conv2d_batched),
-    ("linear", check_linear),
-    ("relu", check_relu),
-    ("sigmoid", check_sigmoid),
-    ("maxpool2d", check_maxpool),
-    ("elementwise_combine", check_combine),
-    ("softmax_cross_entropy", check_softmax_ce),
-    ("bce_with_logits", check_bce),
-    ("smooth_l1", check_smooth_l1),
-    ("roi_align", check_roi_align),
-]
+OP_CHECKS = [(fn.__name__.removeprefix("check_"), fn) for fn in (
+    check_conv2d, check_conv2d_batched, check_linear, check_relu, check_sigmoid,
+    check_maxpool2d, check_elementwise_combine, check_softmax_cross_entropy,
+    check_bce_with_logits, check_smooth_l1, check_roi_align)]
 
 
 def end_to_end_config(seed: int) -> dt.ModelConfig:
@@ -185,7 +169,7 @@ def run_gradcheck_suite(n_seeds: int = 20, base_seed: int = 0,
     """Run all checks; returns (name, max relative error) per op."""
     results = []
     for name, fn in OP_CHECKS:
-        worst = max(fn(base_seed * 1000 + s) for s in range(n_seeds))
+        worst = max(fn(np.random.default_rng(base_seed * 1000 + s)) for s in range(n_seeds))
         results.append((name, worst))
         if log:
             log(f"gradcheck {name}: max rel err {worst:.3e}")

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from gazedet import dataset as ds
 from gazedet import gaze as gz
 from gazedet import gradchecks
 from gazedet.cli import main
+from gazedet.detector import DetectorModel, ModelConfig, save_checkpoint
 from gazedet.gaze import Fixation, GazeSample
 
 
@@ -243,3 +246,122 @@ class TestInputChecks:
         assert code == 1
         assert "--width" in stderr and "--height" in stderr and size[1] in stderr
         assert not out.exists()
+
+
+class TestJsonInputs:
+    """Every malformed JSON input exits 1 with a message that names the
+    file, and where it applies the entry, the field and the value."""
+
+    @pytest.fixture
+    def dataset(self, capsys, tmp_path):
+        data = tmp_path / "data"
+        code, _, err = run(capsys, "synth", "--out", str(data), "--n", "4", "--size", "32",
+                           "--seed", "0", "--train-frac", "0.5", "--val-frac", "0.25")
+        assert code == 0, err
+        return data
+
+    def expect_refusal(self, capsys, argv, path, needles=()):
+        code, _, stderr = run(capsys, *argv)
+        assert code == 1
+        assert "Traceback" not in stderr
+        for needle in [str(path), *needles]:
+            assert needle in stderr
+
+    @pytest.mark.parametrize("edit, needles", [
+        (lambda p: p.update(config=5), ["config 5"]),
+        (lambda p: p["config"].update(channels=5), ["channels 5"]),
+        (lambda p: p["config"].update(img_size="64"), ["img_size '64'"]),
+        (lambda p: p["params"].update(fc1=3), ["params: fc1 3"]),
+        (lambda p: p.pop("config"), ["config is missing"]),
+        (lambda p: p["params"]["fc1"].pop("weights"), ["'fc1'", "weights is missing"]),
+        (lambda p: p["config"]["channels"].__setitem__(2, "32"), ["channels[2] '32'"]),
+        (lambda p: p["config"].update(fusion_mode="max"), ["config", "'max'"]),
+    ], ids=["config_not_object", "channels_not_list", "img_size_string",
+            "layer_not_object", "no_config", "layer_without_weights", "channel_string",
+            "unknown_fusion_mode"])
+    def test_bad_checkpoint(self, capsys, tmp_path, dataset, edit, needles):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), DetectorModel(ModelConfig(img_size=32)))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        self.expect_refusal(capsys, ["eval", "--checkpoint", str(path), "--dataset",
+                                     str(dataset), "--out", str(tmp_path / "e")], path, needles)
+
+    def test_checkpoint_is_a_directory(self, capsys, tmp_path, dataset):
+        self.expect_refusal(capsys, ["eval", "--checkpoint", str(tmp_path), "--dataset",
+                                     str(dataset), "--out", str(tmp_path / "e")], tmp_path)
+
+    @pytest.mark.parametrize("name, raw", [
+        ("manifest.json", b"nope"),
+        ("annotations.json", b"{bad"),
+        ("annotations.json", b"\xff\xfe"),
+    ], ids=["manifest_not_json", "annotations_not_json", "annotations_not_utf8"])
+    def test_bad_dataset_file(self, capsys, tmp_path, dataset, name, raw):
+        paths = sorted(dataset.glob(f"**/{name}"))
+        for path in paths:
+            path.write_bytes(raw)
+        code, _, stderr = run(capsys, "eval", "--checkpoint", str(tmp_path / "none.json"),
+                              "--dataset", str(dataset), "--out", str(tmp_path / "e"))
+        assert code == 1 and "Traceback" not in stderr
+        assert any(f"error: {path}: not a JSON file" in stderr for path in paths)
+
+    @pytest.mark.parametrize("text, needles", [
+        ("[1, 2]", ["[1, 2]", "not an object"]),
+        ('"abc"', ["'abc'", "not an object"]),
+        ("{bad", ["not a JSON file"]),
+        ('{"func": 1}', ["unknown keys", "'func'"]),
+        ('{"size": 64.5}', ["--size", "'64.5'"]),
+        ('{"classes": 7}', ["--classes", "7"]),
+        ('{"config": "x.json"}', ["unknown keys", "'config'"]),
+        ('{"command": "eval"}', ["unknown keys", "'command'"]),
+    ], ids=["list", "string", "not_json", "func", "float_size", "unknown_class",
+            "nested_config", "command"])
+    def test_bad_config_file(self, capsys, tmp_path, text, needles):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "d"
+        self.expect_refusal(capsys, ["synth", "--out", str(out), "--n", "2", "--size", "32",
+                                     "--config", str(cfg)], cfg, needles)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entries, argv, seeds, e2e", [
+        ({"skip_e2e": True, "seeds": 3}, [], 3, False),
+        ({"skip_e2e": False, "seeds": 3}, ["--seeds", "1"], 1, True),
+        ({"skip_e2e": False}, ["--skip-e2e"], 20, False),
+    ], ids=["switch_on", "switch_off", "explicit_switch_wins"])
+    def test_config_file_sets_switches(self, capsys, tmp_path, monkeypatch,
+                                       entries, argv, seeds, e2e):
+        seen = {}
+        monkeypatch.setattr(gradchecks, "run_gradcheck_suite",
+                            lambda **kw: seen.update(kw) or [("conv2d", 1e-8)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        code, _, err = run(capsys, "gradcheck", "--config", str(cfg), *argv)
+        assert code == 0, err
+        assert (seen["n_seeds"], seen["include_end_to_end"]) == (seeds, e2e)
+
+
+class TestBlasThreads:
+    def test_compare_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """`gazedet compare` writes the same bytes whatever OPENBLAS_NUM_THREADS says."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def gazedet(*argv, threads="1"):
+            subprocess.run([sys.executable, "-m", "gazedet.cli", *argv], check=True,
+                           env=dict(env, OPENBLAS_NUM_THREADS=threads),
+                           stdout=subprocess.DEVNULL)
+
+        data = tmp_path / "data"
+        gazedet("synth", "--out", str(data), "--n", "40", "--size", "64", "--seed", "3")
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"run{threads}"
+            gazedet("compare", "--dataset", str(data), "--out", str(out), "--epochs", "2",
+                    "--seed", "3", threads=threads)
+            runs[threads] = {str(p.relative_to(out)): p.read_bytes()
+                             for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(runs["1"]) == 14
+        assert runs["1"].keys() == runs["2"].keys()
+        assert [name for name in runs["1"] if runs["1"][name] != runs["2"][name]] == []

@@ -136,6 +136,12 @@ class TestLoadReading:
         msg = str(info.value)
         assert "annotations.json[0]" in msg and field in msg and value in msg
 
+    def test_integer_beyond_float_range_is_not_finite(self, tmp_path):
+        entry = '{"cx": 1%s, "cy": 30, "rx": 5, "ry": 4, "label": "Atelectasis"}' % ("0" * 400)
+        match = r"annotations\.json\[0\]: cx 10+ \(int\) is not a finite number"
+        with pytest.raises(ValueError, match=match):
+            ds.load_reading(self._write_reading(tmp_path, f"[{entry}]"))
+
 
 class TestEllipseAnnotation:
     @pytest.mark.parametrize("values", [
@@ -255,3 +261,15 @@ class TestLoadDatasetManifest:
             ds.load_dataset(str(tmp_path), "train")
         msg = str(info.value)
         assert str(tmp_path / "manifest.json") in msg and where in msg
+
+    @pytest.mark.parametrize("entry, needle", [
+        ({"id": "r0"}, "readings[0]: split is missing"),
+        ({"id": "r0", "split": ["test"]}, "readings[0]: split ['test'] (list) is not a string"),
+    ], ids=["no_split", "split_not_a_string"])
+    def test_entry_without_string_split_is_refused(self, tmp_path, entry, needle):
+        """An entry whose split is not a string belongs to no split; it is
+        refused, not left out of every split."""
+        (tmp_path / "manifest.json").write_text(json.dumps({"readings": [entry]}))
+        with pytest.raises(ValueError) as info:
+            ds.load_dataset(str(tmp_path), "test")
+        assert str(tmp_path / "manifest.json") in str(info.value) and needle in str(info.value)

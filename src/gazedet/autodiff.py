@@ -286,10 +286,14 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
             return
         dx = np.zeros_like(x.data)
         unrouted = np.ones(out_data.shape, dtype=bool)  # windows not yet given their g
+        hit = np.empty(out_data.shape, dtype=bool)
         for tap in taps:
-            hit = unrouted & (x.data[tap] == out_data)
-            dx[tap] += np.where(hit, g, 0.0)
-            unrouted &= ~hit
+            np.equal(x.data[tap], out_data, out=hit)
+            hit &= unrouted
+            unrouted ^= hit
+            # g * False is -0.0 for negative g, and 0.0 + -0.0 is 0.0, so
+            # the sum is bitwise what adding only the routed g would give
+            dx[tap] += np.multiply(g, hit)
         x.accumulate_grad(dx)
 
     return _node(out_data, (x,), backward, "maxpool2d output")

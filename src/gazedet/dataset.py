@@ -216,12 +216,22 @@ def save_dataset(root: str, readings: list[Reading], splits: dict[str, str] | No
 
 def load_dataset(root: str, split: str | None = None) -> list[Reading]:
     """The readings of ``split`` (all when None), in manifest order; a bad
-    manifest raises ValueError naming the file, the entry and the value."""
+    manifest raises ValueError naming the file, the entry and the value.
+
+    Each id names one directory under ``readings/``, so it must be a single
+    plain path component, and no two entries may share one.
+    """
     man_path = os.path.join(root, "manifest.json")
     readings = []
+    first_entry: dict[str, int] = {}
     for i, entry in enumerate(json_field(read_json(man_path), "readings", list, man_path)):
-        rid, part = (json_field(entry, key, str, f"{man_path}: readings[{i}]")
-                     for key in ("id", "split"))
+        where = f"{man_path}: readings[{i}]"
+        rid, part = (json_field(entry, key, str, where) for key in ("id", "split"))
+        if rid in ("", ".", "..") or "/" in rid or os.sep in rid:
+            raise ValueError(f"{where}: id {rid!r} is not a single plain path component")
+        if rid in first_entry:
+            raise ValueError(f"{where}: id {rid!r} repeats readings[{first_entry[rid]}]")
+        first_entry[rid] = i
         if split is not None and part != split:
             continue
         readings.append(load_reading(os.path.join(root, "readings", rid)))

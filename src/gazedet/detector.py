@@ -5,8 +5,12 @@ An image branch and an optional fixation-map branch run through small
 conv/pool backbones (stride 8, 32 feature channels by default); the two
 are combined element-wise either on the raw inputs or on the feature maps.
 A 3x3 RPN predicts per-anchor objectness and box deltas, proposals are
-pooled with bilinear ROI-align, and small heads emit class logits, box
-deltas, and per-class mask logits at ROI resolution.
+pooled with bilinear ROI-align, and small heads emit class logits and box
+deltas for every proposal. The mask head emits per-class mask logits at ROI
+resolution only for the rows that are read, as in Mask R-CNN: in training
+the head positives (best IoU with a ground-truth box >= head_fg_thresh),
+which hold every positive the mask loss can sample; in inference the
+proposals behind the kept detections.
 
 Total training loss = classification + bbox + mask, where classification is
 RPN binary cross-entropy plus multiclass head cross-entropy, bbox is
@@ -108,7 +112,8 @@ class DetectorOutput:
     proposals: np.ndarray  # (R, 4), R may be 0
     cls_logits: Tensor  # (R, n_classes + 1)
     box_deltas: Tensor  # (R, 4)
-    mask_logits: Tensor  # (R, n_classes, roi, roi)
+    mask_logits: Tensor  # (M, n_classes, roi, roi), one per entry of mask_rows
+    mask_rows: np.ndarray  # (M,) sorted proposal indices the mask head ran on
     detections: list[Detection] | None = None
 
 
@@ -249,8 +254,9 @@ class DetectorModel:
         """Run the full pipeline.
 
         In train mode ``gt_boxes`` (if given, a (G, 4) array, G >= 0) are
-        appended to the RPN proposals so the heads always see positives; in
-        infer mode the Detection list is attached.
+        appended to the RPN proposals so the heads always see positives, and
+        the mask head runs on the head positives they define; in infer mode
+        it runs on the kept detections, and the Detection list is attached.
         """
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -269,21 +275,37 @@ class DetectorModel:
         )
 
         proposals = self._select_proposals(rpn_obj.data, rpn_deltas.data)
-        if mode == "train" and gt_boxes is not None:
-            proposals = np.concatenate([proposals, np.asarray(gt_boxes, dtype=np.float64)])
+        if mode == "train":
+            gt = np.zeros((0, 4)) if gt_boxes is None else np.asarray(gt_boxes, dtype=np.float64)
+            proposals = np.concatenate([proposals, gt])
 
         pooled = roi_align(feat, proposals, cfg.feat_stride, cfg.roi_size)
         flat = ad.flatten(pooled)
         h1 = ad.relu(ad.linear(flat, self.params["fc1"]))
         cls_logits = ad.linear(h1, self.params["cls"])
         box_deltas = ad.linear(h1, self.params["box"])
-        m = ad.relu(ad.conv2d(pooled, self.params["mask_conv"], stride=1, pad=1))
+        if mode == "train":
+            # the positives of assign_targets(force_best=False): every row
+            # compute_loss can sample as a positive for the same targets
+            mask_rows = np.flatnonzero(
+                (bx.iou_matrix(proposals, gt) >= cfg.head_fg_thresh).any(axis=1))
+        else:
+            picks, boxes, probs = self._pick_detections(proposals, cls_logits.data,
+                                                        box_deltas.data)
+            mask_rows, at = np.unique(np.array([i for i, _ in picks], dtype=np.intp),
+                                      return_inverse=True)
+        m = ad.relu(ad.conv2d(ad.gather_rows(pooled, mask_rows), self.params["mask_conv"],
+                              stride=1, pad=1))
         mask_logits = ad.conv2d(m, self.params["mask_out"])
 
         out = DetectorOutput(self.anchors, rpn_obj, rpn_deltas, proposals,
-                             cls_logits, box_deltas, mask_logits)
+                             cls_logits, box_deltas, mask_logits, mask_rows)
         if mode == "infer":
-            out.detections = self._postprocess(out)
+            out.detections = [
+                Detection(boxes[i].copy(), ClassLabel(c - 1), float(probs[i, c]),
+                          1.0 / (1.0 + np.exp(-mask_logits.data[k, c - 1])))
+                for (i, c), k in zip(picks, at)
+            ]
         return out
 
     def _select_proposals(self, obj_logits: np.ndarray, deltas: np.ndarray) -> np.ndarray:
@@ -297,24 +319,29 @@ class DetectorModel:
         keep = bx.nms(decoded, scores, cfg.rpn_nms_thresh)[: cfg.post_nms_top]
         return decoded[keep]
 
-    def _postprocess(self, out: DetectorOutput) -> list[Detection]:
+    def _pick_detections(self, proposals: np.ndarray, cls_logits: np.ndarray,
+                         box_deltas: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+        """The kept (row, class) pairs, best first, with the decoded boxes and
+        class probabilities of every row.
+
+        Per class, rows scoring at least ``score_thresh`` go through NMS; the
+        survivors of all classes are sorted by (-score, box) and cut at
+        ``max_detections``.
+        """
         cfg = self.config
-        z = out.cls_logits.data
-        z = z - z.max(axis=1, keepdims=True)
+        z = cls_logits - cls_logits.max(axis=1, keepdims=True)
         ez = np.exp(z)
         probs = ez / ez.sum(axis=1, keepdims=True)
-        boxes = bx.decode_boxes(out.proposals, out.box_deltas.data, cfg.img_size)
+        boxes = bx.decode_boxes(proposals, box_deltas, cfg.img_size)
         valid = (boxes[:, 2] - boxes[:, 0] > 0) & (boxes[:, 3] - boxes[:, 1] > 0)
-        dets: list[Detection] = []
+        picks: list[tuple[int, int]] = []
         for c in range(1, cfg.n_classes + 1):
             sc = probs[:, c]
             sel = np.flatnonzero((sc >= cfg.score_thresh) & valid)
             keep = bx.nms(boxes[sel], sc[sel], cfg.infer_nms_thresh)
-            for i in sel[keep]:
-                mask = 1.0 / (1.0 + np.exp(-out.mask_logits.data[i, c - 1]))
-                dets.append(Detection(boxes[i].copy(), ClassLabel(c - 1), float(sc[i]), mask))
-        dets.sort(key=lambda d: (-d.score, tuple(d.box)))
-        return dets[: cfg.max_detections]
+            picks += [(int(i), c) for i in sel[keep]]
+        picks.sort(key=lambda p: (-probs[p], tuple(boxes[p[0]])))
+        return picks[: cfg.max_detections], boxes, probs
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +434,14 @@ def compute_loss(out: DetectorOutput, targets: list[TargetBox], config: ModelCon
     head_box = ad.smooth_l1(ad.gather_rows(out.box_deltas, pos_p), reg_t)
     masks = np.array([t.mask for t in targets]).reshape(-1, config.img_size, config.img_size)
     mt = _mask_targets(masks, out.proposals[pos_p], pos_gt, config.roi_size)
-    sel = ad.take_channel_per_row(ad.gather_rows(out.mask_logits, pos_p), cls_of[pos_gt] - 1)
+    # each positive's entry among the mask rows; the trailing -1 is what an
+    # index past the end picks, and it matches no proposal
+    at = np.searchsorted(out.mask_rows, pos_p)
+    missing = pos_p[np.append(out.mask_rows, -1)[at] != pos_p]
+    if missing.size:
+        raise ValueError(f"sampled positive proposal {missing[0]} has no mask row: "
+                         "forward was given other ground-truth boxes than these targets")
+    sel = ad.take_channel_per_row(ad.gather_rows(out.mask_logits, at), cls_of[pos_gt] - 1)
     mask_loss = ad.bce_with_logits(sel, mt)
 
     cls_t = rpn_cls + head_ce

@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import json
 import os
 import subprocess
@@ -365,3 +367,16 @@ class TestBlasThreads:
         assert len(runs["1"]) == 14
         assert runs["1"].keys() == runs["2"].keys()
         assert [name for name in runs["1"] if runs["1"][name] != runs["2"][name]] == []
+
+    def test_this_process_runs_blas_on_one_thread(self):
+        """The test process has gazedet's single BLAS thread, because
+        conftest.py imports gazedet before numpy loads OpenBLAS."""
+        libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                      "libscipy_openblas64_*.so"))
+        if not libs:
+            pytest.skip("this numpy build bundles no scipy-openblas library")
+        # loading an already loaded library returns the live one
+        get_threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        assert get_threads() == 1

@@ -273,3 +273,21 @@ class TestLoadDatasetManifest:
         with pytest.raises(ValueError) as info:
             ds.load_dataset(str(tmp_path), "test")
         assert str(tmp_path / "manifest.json") in str(info.value) and needle in str(info.value)
+
+    @pytest.mark.parametrize("bad_id", [
+        "", ".", "..", "../readings/{first}", "./{first}", "{first}",
+    ], ids=["empty", "dot", "dotdot", "parent_path", "nested_path", "repeated"])
+    def test_manifest_id_must_name_one_new_directory(self, tmp_path, bad_id):
+        """Each id is one plain path component naming its own reading; an id
+        that walks to another directory or repeats an earlier one is refused."""
+        readings = ds.synth_generate(SynthConfig(n_readings=3, img_size=32), 2)
+        ds.save_dataset(str(tmp_path), readings)
+        man_path = tmp_path / "manifest.json"
+        manifest = json.loads(man_path.read_text())
+        bad_id = bad_id.format(first=readings[0].id)
+        manifest["readings"][1]["id"] = bad_id
+        man_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as info:
+            ds.load_dataset(str(tmp_path))
+        msg = str(info.value)
+        assert str(man_path) in msg and f"readings[1]: id {bad_id!r}" in msg

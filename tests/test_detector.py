@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import sys
 
@@ -526,3 +527,109 @@ class TestZeroProposals:
                 assert np.array_equal(old, t.data), n
         # the RPN objectness term did train
         assert not np.array_equal(rpn_before, model.params["rpn_obj"].weights.data)
+
+
+def random_targets(rng, img=64):
+    targets = []
+    for _ in range(int(rng.integers(0, 4))):
+        cx, cy = rng.uniform(12, img - 12, size=2)
+        rx, ry = rng.uniform(3, 12, size=2)
+        ann = EllipseAnnotation(float(cx), float(cy), float(rx), float(ry),
+                                ClassLabel(int(rng.integers(5))))
+        targets.append(ellipse_to_target(ann, img, img))
+    return targets
+
+
+def all_rows_mask_logits(model, image, proposals):
+    """Reference: the mask head over every proposal row, as one batch."""
+    cfg = model.config
+    pooled = dt.roi_align(model.fuse(image, None), proposals, cfg.feat_stride, cfg.roi_size)
+    m = ad.relu(ad.conv2d(pooled, model.params["mask_conv"], stride=1, pad=1))
+    return ad.conv2d(m, model.params["mask_out"])
+
+
+class TestMaskRows:
+    """The mask head runs on the rows that are read: the head positives in
+    training, the kept detections' rows in inference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_train_rows_are_the_head_positives(self, seed):
+        rng = np.random.default_rng(seed)
+        cfg = small_config(seed=seed)
+        targets = random_targets(rng)
+        image = rng.uniform(size=(64, 64))
+        out = DetectorModel(cfg).forward(image, mode="train", gt_boxes=dt._gt_boxes(targets))
+        labels = dt.assign_targets(out.proposals, targets, cfg.head_fg_thresh,
+                                   cfg.head_bg_thresh, force_best=False).labels
+        assert np.array_equal(out.mask_rows, np.flatnonzero(labels == 1))
+        assert out.mask_logits.data.shape == (len(out.mask_rows), cfg.n_classes,
+                                              cfg.roi_size, cfg.roi_size)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mask_loss_and_gradients_match_all_rows_head(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        model = DetectorModel(small_config(seed=seed))
+        targets = random_targets(rng) or one_target()
+        gt = dt._gt_boxes(targets)
+        image = rng.uniform(size=(64, 64))
+        heads = ("mask_conv", "mask_out")
+
+        def mask_loss_and_grads(out):
+            for p in model.param_list():
+                for t in p.tensors():
+                    t.zero_grad()
+            loss = dt.compute_loss(out, targets, model.config, np.random.default_rng(seed))
+            loss.tensor.backward()
+            return loss.mask, [t.grad for n in heads for t in model.params[n].tensors()]
+
+        got, got_grads = mask_loss_and_grads(
+            model.forward(image, mode="train", gt_boxes=gt))
+        ref_out = model.forward(image, mode="train", gt_boxes=gt)
+        ref_out.mask_logits = all_rows_mask_logits(model, image, ref_out.proposals)
+        ref_out.mask_rows = np.arange(len(ref_out.proposals))
+        ref, ref_grads = mask_loss_and_grads(ref_out)
+        assert ref > 0.0 and abs(got - ref) <= 1e-12
+        for g, r in zip(got_grads, ref_grads):
+            assert np.abs(r).max() > 0.0
+            np.testing.assert_allclose(g, r, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_infer_masks_match_all_rows_head(self, seed):
+        """Reference: the all-rows head, then per-class NMS, the (-score, box)
+        sort and the max_detections cut, as one loop over every row."""
+        model = DetectorModel(small_config(seed=seed, score_thresh=0.01))
+        cfg = model.config
+        image = np.random.default_rng(200 + seed).uniform(size=(64, 64))
+        out = model.forward(image, mode="infer")
+        logits = all_rows_mask_logits(model, image, out.proposals).data
+        z = out.cls_logits.data
+        probs = np.exp(z - z.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        boxes = bx.decode_boxes(out.proposals, out.box_deltas.data, cfg.img_size)
+        valid = (boxes[:, 2] - boxes[:, 0] > 0) & (boxes[:, 3] - boxes[:, 1] > 0)
+        ref = []
+        for c in range(1, cfg.n_classes + 1):
+            sel = np.flatnonzero((probs[:, c] >= cfg.score_thresh) & valid)
+            for i in sel[bx.nms(boxes[sel], probs[sel, c], cfg.infer_nms_thresh)]:
+                ref.append(dt.Detection(boxes[i].copy(), ClassLabel(c - 1), float(probs[i, c]),
+                                        1.0 / (1.0 + np.exp(-logits[i, c - 1]))))
+        ref.sort(key=lambda d: (-d.score, tuple(d.box)))
+        ref = ref[: cfg.max_detections]
+        assert len(ref) > 1 and len(out.detections) == len(ref)
+        assert len(out.mask_rows) < len(out.proposals)
+        for d, r in zip(out.detections, ref):
+            assert d.box.tobytes() == r.box.tobytes()
+            assert d.label == r.label and d.score == r.score
+            np.testing.assert_allclose(d.mask, r.mask, rtol=0.0, atol=1e-12)
+
+    def test_loss_refuses_targets_forward_was_not_given(self):
+        """A positive for these targets that forward did not run the mask
+        head on is refused, not read from another row."""
+        cfg = small_config()
+        image = np.random.default_rng(13).uniform(size=(64, 64))
+        out = DetectorModel(cfg).forward(image, mode="train")
+        assert len(out.mask_rows) == 0
+        x0, y0, x1, y1 = out.proposals[0]
+        targets = [dataclasses.replace(one_target()[0], x_min=x0, y_min=y0, x_max=x1, y_max=y1)]
+        with pytest.raises(ValueError, match="has no mask row"):
+            dt.compute_loss(out, targets, cfg, np.random.default_rng(0))

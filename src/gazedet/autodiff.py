@@ -230,7 +230,11 @@ def conv2d(x: Tensor, params: LayerParams, stride: int = 1, pad: int = 0) -> Ten
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d kernel {w.data.shape} larger than padded input {x.data.shape}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
+    if pad:
+        xp = np.zeros((n, c, h + 2 * pad, wid + 2 * pad))
+        xp[:, :, pad : pad + h, pad : pad + wid] = x.data
+    else:
+        xp = x.data
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # (n, c, ho, wo, kh, kw)
     k, nl = c * kh * kw, n * ho * wo
@@ -546,7 +550,8 @@ def sgd_step(params: list[LayerParams], lr: float, momentum: float = 0.0) -> Non
         for t in p.tensors():
             if t._vel is None:
                 t._vel = np.zeros_like(t.data)
-            grad = np.zeros_like(t.data) if t.grad is None else t.grad
-            t._vel = momentum * t._vel - lr * grad
+            t._vel *= momentum
+            if t.grad is not None:
+                t._vel -= lr * t.grad
             t.data = _check_finite(t.data + t._vel, "sgd_step update")
             t.grad = None

@@ -99,20 +99,43 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
 
 
-def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float) -> np.ndarray:
-    """Greedy descending-score suppression; ties broken by lower index."""
+def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,
+        max_keep: int | None = None) -> np.ndarray:
+    """Greedy descending-score suppression; ties broken by lower index.
+
+    With ``max_keep`` the result is the first ``max_keep`` keeps. A greedy
+    decision depends only on the candidates ranked above it, so IoU is
+    first computed over the top ``2 * max_keep`` candidates alone, and over
+    all of them only when that prefix gives fewer than ``max_keep`` keeps.
+    """
     if len(boxes) != len(scores):
         raise ValueError(f"nms length mismatch: {len(boxes)} boxes vs {len(scores)} scores")
     if not 0.0 < iou_thresh < 1.0:
         raise ValueError(f"iou_thresh must be in (0, 1), got {iou_thresh}")
+    if max_keep is not None and max_keep < 0:
+        raise ValueError(f"max_keep must be >= 0, got {max_keep}")
     # stable sort on -score keeps the lower index first among ties
     order = np.argsort(-scores, kind="stable")
-    ious = iou_matrix(boxes, boxes)
+    limit = len(order) if max_keep is None else max_keep
+    if 2 * limit < len(order):
+        keep = _greedy_keep(boxes, order[: 2 * limit], iou_thresh, limit)
+        if len(keep) == limit:
+            return keep
+    return _greedy_keep(boxes, order, iou_thresh, limit)
+
+
+def _greedy_keep(boxes: np.ndarray, order: np.ndarray, iou_thresh: float,
+                 limit: int) -> np.ndarray:
+    """Up to ``limit`` indices of ``boxes`` kept by a greedy pass in ``order``."""
+    ranked = boxes[order]
+    ious = iou_matrix(ranked, ranked)
     keep = []
-    suppressed = np.zeros(len(boxes), dtype=bool)
-    for i in order:
-        if suppressed[i]:
+    suppressed = np.zeros(len(order), dtype=bool)
+    for k in range(len(order)):
+        if len(keep) == limit:
+            break
+        if suppressed[k]:
             continue
-        keep.append(i)
-        suppressed |= ious[i] > iou_thresh
+        keep.append(order[k])
+        suppressed |= ious[k] > iou_thresh
     return np.asarray(keep, dtype=np.intp)

@@ -32,7 +32,7 @@ from . import autodiff as ad
 from . import boxes as bx
 from .autodiff import LayerParams, Tensor
 from .dataset import ClassLabel, CLASS_NAMES, TargetBox, label_from_json
-from .fileio import atomic_write_text, json_check, json_field, read_json
+from .fileio import atomic_write_bytes, atomic_write_text, json_check, json_field, read_json
 from .gaze import FixationMap
 
 CHECKPOINT_FORMAT = "gazedet-checkpoint-v3"
@@ -316,7 +316,7 @@ class DetectorModel:
         scores = obj_logits[valid]
         order = np.argsort(-scores, kind="stable")[: cfg.pre_nms_top]
         decoded, scores = decoded[order], scores[order]
-        keep = bx.nms(decoded, scores, cfg.rpn_nms_thresh)[: cfg.post_nms_top]
+        keep = bx.nms(decoded, scores, cfg.rpn_nms_thresh, max_keep=cfg.post_nms_top)
         return decoded[keep]
 
     def _pick_detections(self, proposals: np.ndarray, cls_logits: np.ndarray,
@@ -514,26 +514,42 @@ def _decode_array(entry, shape: tuple, where: str) -> np.ndarray:
     return arr
 
 
+_BODY_PLACEHOLDER = re.compile(r'(?<="f64_base64": ")@(\d+)(?=")')
+
+
 def save_checkpoint(path: str, model: DetectorModel) -> None:
     """Write ``model`` as a ``CHECKPOINT_FORMAT`` JSON file (see README).
 
+    The file text is ``json.dumps(payload, sort_keys=True)`` and a newline.
     A non-finite weight raises ValueError naming the file, the layer, the
     field and the flat index, as ``load_checkpoint`` would, and nothing is
     written.
     """
+    bodies = []
+
+    def entry(a: np.ndarray, where: str) -> dict:
+        out = _encode_array(a, where)
+        bodies.append(out["f64_base64"].encode("ascii"))
+        out["f64_base64"] = f"@{len(bodies) - 1}"
+        return out
+
     payload = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "params": {
             name: {
                 "kind": p.kind,
-                "weights": _encode_array(p.weights.data, f"{path}: layer {name!r} weights"),
-                "bias": _encode_array(p.bias.data, f"{path}: layer {name!r} bias"),
+                "weights": entry(p.weights.data, f"{path}: layer {name!r} weights"),
+                "bias": entry(p.bias.data, f"{path}: layer {name!r} bias"),
             }
             for name, p in sorted(model.params.items())
         },
     }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
+    # base64 text needs no JSON escapes, so each body is written as its own
+    # chunk in place of its "@k" placeholder rather than scanned by json.dumps
+    parts = _BODY_PLACEHOLDER.split(json.dumps(payload, sort_keys=True) + "\n")
+    atomic_write_bytes(path, *(bodies[int(part)] if k % 2 else part.encode()
+                               for k, part in enumerate(parts)))
 
 
 def _config_from_json(obj: dict, where: str) -> dict:

@@ -26,6 +26,12 @@ def atomic_write_bytes(path: str, *chunks) -> None:
     os.replace(tmp, path)
 
 
+def atomic_copy(src: str, dst: str) -> None:
+    """Write the bytes of the file `src` to `dst`, atomically."""
+    with open(src, "rb") as fh:
+        atomic_write_bytes(dst, fh.read())
+
+
 def atomic_write_text(path: str, payload: str) -> None:
     atomic_write_bytes(path, payload.encode())
 

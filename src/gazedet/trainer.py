@@ -27,7 +27,7 @@ from .detector import (
     save_predictions,
     train_loss,
 )
-from .fileio import atomic_write_text
+from .fileio import atomic_copy, atomic_write_text
 
 LOSS_CURVE_HEADER = "step,epoch,cls,bbox,mask,total"
 
@@ -140,12 +140,14 @@ def train(model_cfg: ModelConfig, train_readings: list[Reading],
             if log and step % train_cfg.log_every == 0:
                 log(f"step {step} epoch {epoch} total {loss.total:.4f}")
             step += 1
-        save_checkpoint(os.path.join(out_dir, "checkpoint_last.json"), model)
+        last = os.path.join(out_dir, "checkpoint_last.json")
+        save_checkpoint(last, model)
         val_set = val_readings if val_readings else train_readings
         val_loss = _epoch_val_loss(model, val_set, model_cfg, train_cfg.seed, epoch)
         if val_loss < best_val:
             best_val = val_loss
-            save_checkpoint(os.path.join(out_dir, "checkpoint_best.json"), model)
+            # validation leaves the weights as just saved: copy, don't re-encode
+            atomic_copy(last, os.path.join(out_dir, "checkpoint_best.json"))
         if log:
             log(f"epoch {epoch} done; val loss {val_loss:.4f}")
     atomic_write_text(os.path.join(out_dir, "loss_curve.csv"), curve.to_csv())

@@ -235,6 +235,32 @@ class TestSgdStep:
         ad.sgd_step([p], lr=0.1, momentum=0.5)  # v=-0.05, w=0.85
         assert np.isclose(p.weights.data[0, 0], 0.85)
 
+    def test_matches_out_of_place_recurrence_bitwise(self):
+        rng = np.random.default_rng(3)
+        p = lin_params(rng.standard_normal((3, 4)), rng.standard_normal(3))
+        ws = [t.data.copy() for t in p.tensors()]
+        vs = [np.zeros_like(w) for w in ws]
+        for step in range(6):
+            # every third (step, tensor) pair has no gradient
+            grads = [None if (step + k) % 3 == 0 else rng.standard_normal(w.shape)
+                     for k, w in enumerate(ws)]
+            for t, g in zip(p.tensors(), grads):
+                t.grad = None if g is None else g.copy()
+            ad.sgd_step([p], lr=0.05, momentum=0.9)
+            for k, g in enumerate(grads):
+                vs[k] = 0.9 * vs[k] - 0.05 * (np.zeros_like(ws[k]) if g is None else g)
+                ws[k] = ws[k] + vs[k]
+            for w, t in zip(ws, p.tensors()):
+                assert np.array_equal(w, t.data)
+                assert np.array_equal(np.signbit(w), np.signbit(t.data))
+
+    def test_non_finite_update_leaves_weights(self):
+        p = self._param([[1.0]])
+        p.weights.grad = np.array([[np.inf]])
+        with pytest.raises(NumericsError, match="sgd_step update"):
+            ad.sgd_step([p], lr=0.1)
+        assert p.weights.data[0, 0] == 1.0
+
     def test_grads_zeroed_after_step(self):
         p = self._param([[1.0]])
         p.weights.grad = np.array([[1.0]])

@@ -116,6 +116,37 @@ class TestNms:
         keep = list(bx.nms(boxes, scores, 0.5))
         assert keep == nms_reference(boxes, scores, 0.5)
 
+    @pytest.mark.parametrize("seed", range(100))
+    def test_max_keep_gives_the_first_keeps(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 51))
+        x0 = rng.uniform(0, 50, size=(n, 2))
+        boxes = np.concatenate([x0, x0 + rng.uniform(1, 30, size=(n, 2))], axis=1)
+        boxes[rng.integers(0, n, size=n // 4)] = boxes[rng.integers(0, n, size=n // 4)]
+        scores = np.round(rng.uniform(0, 1, size=n), 1)  # many ties
+        full = list(bx.nms(boxes, scores, 0.5))
+        ref = nms_reference(boxes, scores, 0.5)
+        for k in (0, 1, 5, n, n + 3):
+            keep = list(bx.nms(boxes, scores, 0.5, max_keep=k))
+            assert keep == full[:k] == ref[:k]
+
+    def test_max_keep_past_a_suppressed_prefix(self):
+        # the ten best boxes are near-copies of one box, so the top 2k = 6
+        # candidates give one keep and the pass must go on over all of them
+        k = 3
+        stack = [[0.0, 0.0, 20.0 + 0.1 * i, 20.0] for i in range(10)]
+        apart = [[30.0 * i, 40.0, 30.0 * i + 10.0, 50.0] for i in range(5)]
+        boxes = np.array(stack + apart)
+        scores = np.linspace(1.0, 0.1, len(boxes))
+        top = np.argsort(-scores, kind="stable")[: 2 * k]
+        assert len(nms_reference(boxes[top], scores[top], 0.5)) < k
+        keep = list(bx.nms(boxes, scores, 0.5, max_keep=k))
+        assert keep == nms_reference(boxes, scores, 0.5)[:k] == [0, 10, 11]
+
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
             bx.nms(np.zeros((1, 4)), np.zeros(1), 1.5)
+
+    def test_negative_max_keep(self):
+        with pytest.raises(ValueError, match="max_keep"):
+            bx.nms(np.zeros((1, 4)), np.zeros(1), 0.5, max_keep=-1)

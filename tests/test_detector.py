@@ -443,6 +443,33 @@ class TestCheckpoint:
         assert str(path) in str(info.value)
         assert list(tmp_path.iterdir()) == []
 
+    def test_save_refuses_non_finite_last_array(self, tmp_path):
+        # rpn_obj weights is the last array in the file's sorted order
+        model = DetectorModel(ModelConfig())
+        model.params["rpn_obj"].weights.data.flat[5] = -np.inf
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValueError, match="'rpn_obj' weights: non-finite value -inf "
+                                             "at flat index 5"):
+            dt.save_checkpoint(str(path), model)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kw", [{}, {"use_fixations": True, "fusion_point": "feature"},
+                                    {"use_fixations": True, "fusion_point": "input"}],
+                             ids=["image_only", "feature_fusion", "input_fusion"])
+    def test_file_is_sorted_json_dumps(self, tmp_path, kw):
+        model = DetectorModel(small_config(seed=4, **kw))
+        path = tmp_path / "ckpt.json"
+        dt.save_checkpoint(str(path), model)
+        payload = {
+            "format": dt.CHECKPOINT_FORMAT,
+            "config": dataclasses.asdict(model.config),
+            "params": {name: {"kind": p.kind,
+                              "weights": dt._encode_array(p.weights.data, name),
+                              "bias": dt._encode_array(p.bias.data, name)}
+                       for name, p in model.params.items()},
+        }
+        assert path.read_bytes() == (json.dumps(payload, sort_keys=True) + "\n").encode()
+
     def test_rejects_v2_file_by_format(self, tmp_path):
         path, payload = saved_payload(tmp_path)
         payload["format"] = "gazedet-checkpoint-v2"

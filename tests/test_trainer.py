@@ -7,7 +7,7 @@ from gazedet import dataset as ds
 from gazedet import trainer as tr
 from gazedet.autodiff import NumericsError
 from gazedet.dataset import SynthConfig
-from gazedet.detector import ModelConfig, load_checkpoint
+from gazedet.detector import ModelConfig, load_checkpoint, save_checkpoint
 from gazedet.trainer import TrainConfig
 
 
@@ -67,6 +67,21 @@ class TestDeterminism:
         for fname in ("loss_curve.csv", "checkpoint_last.json", "checkpoint_best.json"):
             assert (tmp_path / "a" / fname).read_bytes() == \
                    (tmp_path / "b" / fname).read_bytes()
+
+    def test_best_checkpoint_is_the_improving_epochs_last(self, tiny_readings, tmp_path):
+        lines = []
+        model, _ = tr.train(tiny_model_cfg(), tiny_readings[:5], tiny_readings[5:7],
+                            TrainConfig(epochs=2, lr=0.005, seed=7), str(tmp_path / "run"),
+                            log=lines.append)
+        val = [float(line.rsplit(" ", 1)[1]) for line in lines if "val loss" in line]
+        assert val[1] < val[0]  # epoch 1 improved, so best was written at the end
+        run = tmp_path / "run"
+        best = (run / "checkpoint_best.json").read_bytes()
+        assert best == (run / "checkpoint_last.json").read_bytes()
+        save_checkpoint(str(tmp_path / "again.json"), model)
+        assert best == (tmp_path / "again.json").read_bytes()
+        assert sorted(p.name for p in run.iterdir()) == [
+            "checkpoint_best.json", "checkpoint_last.json", "loss_curve.csv"]
 
     def test_seed_changes_curve(self, tiny_readings, tmp_path):
         cfg = tiny_model_cfg()

@@ -177,7 +177,10 @@ class LayerParams:
 
     weights: Tensor
     bias: Tensor
-    kind: str  # "conv2d" | "linear"
+
+    @property
+    def kind(self) -> str:
+        return "conv2d" if self.weights.data.ndim == 4 else "linear"
 
     def tensors(self) -> tuple[Tensor, Tensor]:
         return (self.weights, self.bias)
@@ -188,14 +191,14 @@ def kaiming_conv(c_out: int, c_in: int, kh: int, kw: int, rng: np.random.Generat
     bound = np.sqrt(6.0 / fan_in)
     w = rng.uniform(-bound, bound, size=(c_out, c_in, kh, kw))
     b = rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=(c_out,))
-    return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), "conv2d")
+    return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
 def kaiming_linear(m: int, d: int, rng: np.random.Generator) -> LayerParams:
     bound = np.sqrt(6.0 / d)
     w = rng.uniform(-bound, bound, size=(m, d))
     b = rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=(m,))
-    return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), "linear")
+    return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
 # ---------------------------------------------------------------------------

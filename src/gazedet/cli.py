@@ -17,16 +17,10 @@ import sys
 from . import dataset as ds
 from . import gaze as gz
 from . import gradchecks
-from . import metrics as mx
 from . import trainer as tr
 from .autodiff import NumericsError
-from .fileio import json_check, read_json
-from .detector import (
-    ModelConfig,
-    load_checkpoint,
-    load_predictions,
-    save_predictions,
-)
+from .fileio import json_check, json_known_keys, read_json
+from .detector import ModelConfig, load_checkpoint, load_predictions
 
 
 class CliError(Exception):
@@ -64,15 +58,6 @@ def _model_config(args, seed: int, use_fixations: bool, img_size: int) -> ModelC
         fusion_point=args.fusion_point,
         seed=seed,
     )
-
-
-def _write_report(args, dets, readings, model_tag: str) -> None:
-    report = tr.report_from_detections(dets, readings, args.thresh, args.metric,
-                                       model_tag=model_tag)
-    os.makedirs(args.out, exist_ok=True)
-    mx.save_report(os.path.join(args.out, "report.json"),
-                   os.path.join(args.out, "report.md"), report)
-    print(report.to_markdown())
 
 
 def _load_split(args):
@@ -155,11 +140,9 @@ def cmd_eval(args, seed: int) -> int:
     readings = ds.load_dataset(args.dataset, args.split)
     if not readings:
         raise CliError(f"dataset split {args.split!r} is empty")
-    model = load_checkpoint(args.checkpoint)
-    dets = tr.infer_dataset(model, readings)
-    os.makedirs(args.out, exist_ok=True)
-    save_predictions(os.path.join(args.out, "predictions.json"), dets)
-    _write_report(args, dets, readings, os.path.basename(args.checkpoint))
+    report = tr.evaluate(load_checkpoint(args.checkpoint), readings, args.out, args.thresh,
+                         args.metric, os.path.basename(args.checkpoint))
+    print(report.to_markdown())
     return 0
 
 
@@ -200,7 +183,9 @@ def cmd_report(args, seed: int) -> int:
     if unknown:
         raise CliError(f"{args.predictions}: reading ids not in split {args.split!r}: "
                        f"{unknown}")
-    _write_report(args, dets, readings, os.path.basename(args.predictions))
+    report = tr.write_report(dets, readings, args.out, args.thresh, args.metric,
+                             os.path.basename(args.predictions))
+    print(report.to_markdown())
     return 0
 
 
@@ -304,10 +289,8 @@ def _apply_config_file(parser, argv):
     flag and its value, or each item of a list, as JSON text unless a string."""
     args = parser.parse_args(argv)
     if args.config:
-        overrides = json_check(read_json(args.config), dict, args.config)
-        unknown = sorted(set(overrides) - (set(vars(args)) - {"config", "func", "command"}))
-        if unknown:
-            raise CliError(f"{args.config}: unknown keys in config file: {unknown}")
+        overrides = json_known_keys(json_check(read_json(args.config), dict, args.config),
+                                    set(vars(args)) - {"config", "func", "command"}, args.config)
         tokens = []
         for key, value in overrides.items():
             flag = "--" + key.replace("_", "-")

@@ -32,7 +32,8 @@ from . import autodiff as ad
 from . import boxes as bx
 from .autodiff import LayerParams, Tensor
 from .dataset import ClassLabel, CLASS_NAMES, TargetBox, label_from_json
-from .fileio import atomic_write_bytes, atomic_write_text, json_check, json_field, read_json
+from .fileio import (atomic_write_bytes, atomic_write_text, json_check, json_field,
+                     json_known_keys, read_json)
 from .gaze import FixationMap
 
 CHECKPOINT_FORMAT = "gazedet-checkpoint-v3"
@@ -228,10 +229,6 @@ class DetectorModel:
                 f"({self.config.img_size}, {self.config.img_size})"
             )
         return Tensor(arr[None, None])
-
-    def backbone_forward(self, grid) -> Tensor:
-        """Image-branch features: stride-8 spatial reduction."""
-        return self._backbone(self._as_grid_tensor(grid), "bb_img")
 
     def fuse(self, image, fmap) -> Tensor:
         """Fused trunk features per the configured mode and point."""
@@ -557,9 +554,7 @@ def _config_from_json(obj: dict, where: str) -> dict:
     holds the JSON kind of its default; a tuple default is saved as a list
     whose items hold the kind of its first item. Errors name ``where``."""
     defaults = {f.name: f.default for f in fields(ModelConfig)}
-    unknown = sorted(set(obj) - set(defaults))
-    if unknown:
-        raise ValueError(f"{where}: unknown keys {unknown}")
+    json_known_keys(obj, defaults, where)
     values = {}
     for name, default in defaults.items():
         if isinstance(default, tuple):
@@ -577,19 +572,21 @@ def load_checkpoint(path: str) -> DetectorModel:
     fmt = payload.get("format") if isinstance(payload, dict) else None
     if fmt != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: format {fmt!r} is not {CHECKPOINT_FORMAT!r}")
+    json_known_keys(payload, ("format", "config", "params"), path)
     where = f"{path}: config"
     values = _config_from_json(json_field(payload, "config", dict, path), where)
     try:
         model = DetectorModel(ModelConfig(**values))
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    params = json_field(payload, "params", dict, path)
-    unexpected = sorted(set(params) - set(model.params))
-    if unexpected:
-        raise ValueError(f"{path}: unexpected layers {unexpected}")
+    params = json_known_keys(json_field(payload, "params", dict, path), model.params,
+                             f"{path}: params")
     for name, p in model.params.items():
         entry = json_field(params, name, dict, f"{path}: params")
         where = f"{path}: layer {name!r}"
+        json_known_keys(entry, ("kind", "weights", "bias"), where)
+        if json_field(entry, "kind", str, where) != p.kind:
+            raise ValueError(f"{where}: kind {entry['kind']!r}, the model's layer is {p.kind!r}")
         for fld, t in (("weights", p.weights), ("bias", p.bias)):
             t.data = _decode_array(json_field(entry, fld, dict, where), t.data.shape,
                                    f"{where} {fld}")

@@ -65,3 +65,13 @@ def json_field(obj, key: str, kind: type, where: str):
     if key not in json_check(obj, dict, where):
         raise ValueError(f"{where}: {key} is missing (None), not {_KIND_NAMES[kind]}")
     return json_check(obj[key], kind, f"{where}: {key}")
+
+
+def json_known_keys(obj: dict, known, where: str) -> dict:
+    """`obj` when each of its keys is in `known`, else ValueError naming
+    `where` and each unknown key with its value."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        shown = ", ".join(f"{k!r}: {obj[k]!r:.60}" for k in unknown)
+        raise ValueError(f"{where}: unknown keys {{{shown}}}")
+    return obj

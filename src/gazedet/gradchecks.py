@@ -36,7 +36,7 @@ def check_conv2d(rng) -> float:
     p = ad.kaiming_conv(3, 2, 3, 3, rng)
 
     def f(x, w, b):
-        return ad.tensor_sum(ad.conv2d(x, ad.LayerParams(w, b, "conv2d"), stride=2, pad=1))
+        return ad.tensor_sum(ad.conv2d(x, ad.LayerParams(w, b), stride=2, pad=1))
 
     return grad_check(f, [x, p.weights, p.bias])
 
@@ -52,7 +52,7 @@ def check_conv2d_batched(rng) -> float:
     weight = Tensor(_rand(rng, 3, 3, 4, 4))
 
     def f(x, w, b):
-        y = ad.conv2d(x, ad.LayerParams(w, b, "conv2d"), stride=1, pad=1)
+        y = ad.conv2d(x, ad.LayerParams(w, b), stride=1, pad=1)
         return ad.tensor_sum(ad.elementwise_combine(y, weight, "mul"))
 
     return grad_check(f, [x, p.weights, p.bias])
@@ -63,7 +63,7 @@ def check_linear(rng) -> float:
     p = ad.kaiming_linear(4, 5, rng)
 
     def f(x, w, b):
-        return ad.tensor_sum(ad.linear(x, ad.LayerParams(w, b, "linear")))
+        return ad.tensor_sum(ad.linear(x, ad.LayerParams(w, b)))
 
     return grad_check(f, [x, p.weights, p.bias])
 

@@ -186,20 +186,30 @@ class MetricsReport:
         }
 
     def to_markdown(self) -> str:
-        lines = [
-            f"| Abnormality | {self.ap_header()} | {self.ar_header()} |",
-            "|---|---|---|",
-        ]
-        for r in self.rows:
-            lines.append(f"| {REPORT_CLASS_TITLES[r.label]} | {format_cell(r.ap)} | {format_cell(r.ar)} |")
-        lines.append(f"| Average | {format_cell(self.average_ap)} | {format_cell(self.average_ar)} |")
+        lines = ap_ar_table({"": self})
         for w in self.warnings:
-            lines.append(f"")
-            lines.append(f"> warning: {w}")
+            lines += ["", f"> warning: {w}"]
         meta = ", ".join(f"{k}={v}" for k, v in sorted(self.metadata.items()))
-        lines.append("")
-        lines.append(f"_{meta}_")
+        lines += ["", f"_{meta}_"]
         return "\n".join(lines) + "\n"
+
+
+def ap_ar_table(columns: dict[str, MetricsReport]) -> list[str]:
+    """Markdown lines of an AP/AR table, one column pair per report, whose
+    headers its key prefixes: header, separator, class rows, average row."""
+    reports = list(columns.values())
+    lines = [
+        "| Abnormality |" + "".join(f" {prefix}{r.ap_header()} | {prefix}{r.ar_header()} |"
+                                  for prefix, r in columns.items()),
+        "|---|" + "---|---|" * len(reports),
+    ]
+    for rows in zip(*(r.rows for r in reports)):
+        cells = [REPORT_CLASS_TITLES[rows[0].label]]
+        cells += [format_cell(v) for row in rows for v in (row.ap, row.ar)]
+        lines.append("| " + " | ".join(cells) + " |")
+    cells = ["Average"] + [format_cell(v) for r in reports for v in (r.average_ap, r.average_ar)]
+    lines.append("| " + " | ".join(cells) + " |")
+    return lines
 
 
 def _mean_defined(values: list[float | None]) -> float | None:

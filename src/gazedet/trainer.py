@@ -10,26 +10,23 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import gaze as gz
 from . import metrics as mx
 from .autodiff import NumericsError, no_grad, sgd_step
-from .dataset import REPORT_CLASS_TITLES, ClassLabel, Reading, reading_targets
+from .dataset import ClassLabel, Reading, reading_targets
 from .detector import (
     DetectorModel,
     LossBreakdown,
     ModelConfig,
-    load_checkpoint,
     save_checkpoint,
     save_predictions,
     train_loss,
 )
 from .fileio import atomic_copy, atomic_write_text
-
-LOSS_CURVE_HEADER = "step,epoch,cls,bbox,mask,total"
 
 
 @dataclass
@@ -45,26 +42,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-
-
-@dataclass
-class LossCurve:
-    steps: list[tuple[int, int, LossBreakdown]] = field(default_factory=list)
-
-    def epoch_means(self) -> dict[int, float]:
-        totals: dict[int, list[float]] = {}
-        for _, epoch, loss in self.steps:
-            totals.setdefault(epoch, []).append(loss.total)
-        return {e: sum(v) / len(v) for e, v in totals.items()}
-
-    def to_csv(self) -> str:
-        lines = [LOSS_CURVE_HEADER]
-        for step, epoch, loss in self.steps:
-            lines.append(
-                f"{step},{epoch},{loss.classification!r},{loss.bbox!r},"
-                f"{loss.mask!r},{loss.total!r}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def fixation_map_for(reading: Reading, img_size: int) -> gz.FixationMap:
@@ -97,31 +74,30 @@ def _inputs_for(reading: Reading, model_cfg: ModelConfig):
     return reading.image, fmap
 
 
-def _reading_loss(model: DetectorModel, reading: Reading, model_cfg: ModelConfig,
-                  rng: np.random.Generator) -> LossBreakdown:
+def _reading_loss(model, reading, rng) -> LossBreakdown:
     """Training loss of one reading."""
-    image, fmap = _inputs_for(reading, model_cfg)
+    image, fmap = _inputs_for(reading, model.config)
     return train_loss(model, image, fmap, reading_targets(reading), rng)
 
 
-def _epoch_val_loss(model, readings, model_cfg, seed, epoch) -> float:
+def _epoch_val_loss(model, readings, seed, epoch) -> float:
     total = 0.0
     with no_grad():
         for k, reading in enumerate(readings):
             rng = np.random.default_rng([seed, 1_000_000 + epoch, k])
-            total += _reading_loss(model, reading, model_cfg, rng).total
+            total += _reading_loss(model, reading, rng).total
     return total / max(1, len(readings))
 
 
 def train(model_cfg: ModelConfig, train_readings: list[Reading],
           val_readings: list[Reading], train_cfg: TrainConfig,
-          out_dir: str, log=None) -> tuple[DetectorModel, LossCurve]:
+          out_dir: str, log=None) -> DetectorModel:
     """Train a detector; writes loss_curve.csv, checkpoint_last/best.json."""
     if not train_readings:
         raise ValueError("train set is empty")
     os.makedirs(out_dir, exist_ok=True)
     model = DetectorModel(model_cfg)
-    curve = LossCurve()
+    curve = ["step,epoch,cls,bbox,mask,total"]
     best_val = np.inf
     step = 0
     for epoch in range(train_cfg.epochs):
@@ -129,29 +105,29 @@ def train(model_cfg: ModelConfig, train_readings: list[Reading],
         for k in order:
             rng = np.random.default_rng([train_cfg.seed, epoch, int(k)])
             try:
-                loss = _reading_loss(model, train_readings[k], model_cfg, rng)
+                loss = _reading_loss(model, train_readings[k], rng)
                 loss.tensor.backward()
                 sgd_step(model.param_list(), train_cfg.lr, train_cfg.momentum)
             except NumericsError as exc:
                 raise RuntimeError(f"training diverged at step {step}: {exc}") from exc
-            # drop the graph reference so the curve holds only scalars
-            loss.tensor = None
-            curve.steps.append((step, epoch, loss))
+            curve.append(f"{step},{epoch},{loss.classification!r},{loss.bbox!r},"
+                         f"{loss.mask!r},{loss.total!r}")
             if log and step % train_cfg.log_every == 0:
                 log(f"step {step} epoch {epoch} total {loss.total:.4f}")
+            del loss  # frees this step's graph before the next forward pass
             step += 1
         last = os.path.join(out_dir, "checkpoint_last.json")
         save_checkpoint(last, model)
         val_set = val_readings if val_readings else train_readings
-        val_loss = _epoch_val_loss(model, val_set, model_cfg, train_cfg.seed, epoch)
+        val_loss = _epoch_val_loss(model, val_set, train_cfg.seed, epoch)
         if val_loss < best_val:
             best_val = val_loss
             # validation leaves the weights as just saved: copy, don't re-encode
             atomic_copy(last, os.path.join(out_dir, "checkpoint_best.json"))
         if log:
             log(f"epoch {epoch} done; val loss {val_loss:.4f}")
-    atomic_write_text(os.path.join(out_dir, "loss_curve.csv"), curve.to_csv())
-    return model, curve
+    atomic_write_text(os.path.join(out_dir, "loss_curve.csv"), "\n".join(curve) + "\n")
+    return model
 
 
 def infer_dataset(model: DetectorModel, readings: list[Reading]):
@@ -164,15 +140,27 @@ def infer_dataset(model: DetectorModel, readings: list[Reading]):
     return dets_by_reading
 
 
-def evaluate(model_or_path, readings: list[Reading], thresh: float = 0.5,
-             kind: str = "iobb", model_tag: str = "model") -> mx.MetricsReport:
-    """Inference over readings, class-partitioned AP/AR report."""
+def evaluate(model: DetectorModel, readings: list[Reading], out_dir: str,
+             thresh: float = 0.5, kind: str = "iobb",
+             model_tag: str = "model") -> mx.MetricsReport:
+    """Inference over ``readings``; writes predictions.json and the report to ``out_dir``."""
     if not readings:
         raise ValueError("cannot evaluate on an empty reading list")
-    model = model_or_path if isinstance(model_or_path, DetectorModel) \
-        else load_checkpoint(model_or_path)
     dets_by_reading = infer_dataset(model, readings)
-    return report_from_detections(dets_by_reading, readings, thresh, kind, model_tag)
+    os.makedirs(out_dir, exist_ok=True)
+    save_predictions(os.path.join(out_dir, "predictions.json"), dets_by_reading)
+    return write_report(dets_by_reading, readings, out_dir, thresh, kind, model_tag)
+
+
+def write_report(dets_by_reading: dict, readings: list[Reading], out_dir: str,
+                 thresh: float = 0.5, kind: str = "iobb",
+                 model_tag: str = "model") -> mx.MetricsReport:
+    """``report_from_detections``, saved as report.json and report.md in ``out_dir``."""
+    report = report_from_detections(dets_by_reading, readings, thresh, kind, model_tag)
+    os.makedirs(out_dir, exist_ok=True)
+    mx.save_report(os.path.join(out_dir, "report.json"),
+                   os.path.join(out_dir, "report.md"), report)
+    return report
 
 
 def report_from_detections(dets_by_reading: dict, readings: list[Reading],
@@ -203,15 +191,8 @@ def run_comparison(model_cfg_pairs: list[tuple[str, ModelConfig]],
     reports: dict[str, mx.MetricsReport] = {}
     for tag, model_cfg in model_cfg_pairs:
         arm_dir = os.path.join(out_dir, tag)
-        model, _curve = train(model_cfg, train_readings, val_readings, train_cfg,
-                              arm_dir, log=log)
-        dets = infer_dataset(model, test_readings)
-        save_predictions(os.path.join(arm_dir, "predictions.json"), dets)
-        report = report_from_detections(dets, test_readings, thresh, kind,
-                                        model_tag=tag)
-        mx.save_report(os.path.join(arm_dir, "report.json"),
-                       os.path.join(arm_dir, "report.md"), report)
-        reports[tag] = report
+        model = train(model_cfg, train_readings, val_readings, train_cfg, arm_dir, log=log)
+        reports[tag] = evaluate(model, test_readings, arm_dir, thresh, kind, model_tag=tag)
     atomic_write_text(os.path.join(out_dir, "comparison.md"),
                       comparison_markdown(reports))
     atomic_write_text(
@@ -223,26 +204,7 @@ def run_comparison(model_cfg_pairs: list[tuple[str, ModelConfig]],
 
 
 def comparison_markdown(reports: dict[str, mx.MetricsReport]) -> str:
-    """Two-column (per arm) table of AP/AR rows plus the average row."""
-    tags = list(reports)
-    first = reports[tags[0]]
-    header = "| Abnormality |" + "".join(
-        f" {tag} {reports[tag].ap_header()} | {tag} {reports[tag].ar_header()} |"
-        for tag in tags
-    )
-    sep = "|---|" + "---|---|" * len(tags)
-    lines = [header, sep]
-    for i, row in enumerate(first.rows):
-        cells = [REPORT_CLASS_TITLES[row.label]]
-        for tag in tags:
-            r = reports[tag].rows[i]
-            cells.extend([mx.format_cell(r.ap), mx.format_cell(r.ar)])
-        lines.append("| " + " | ".join(cells) + " |")
-    cells = ["Average"]
-    for rep in reports.values():
-        cells.extend([mx.format_cell(rep.average_ap), mx.format_cell(rep.average_ar)])
-    lines.append("| " + " | ".join(cells) + " |")
-    for tag in tags:
-        for w in reports[tag].warnings:
-            lines.append(f"> {tag}: {w}")
+    """One AP/AR column pair per arm, then each arm's warnings."""
+    lines = mx.ap_ar_table({f"{tag} ": r for tag, r in reports.items()})
+    lines += [f"> {tag}: {w}" for tag, r in reports.items() for w in r.warnings]
     return "\n".join(lines) + "\n"

@@ -6,37 +6,33 @@ from gazedet import autodiff as ad
 from gazedet.autodiff import LayerParams, NumericsError, ShapeError, Tensor
 
 
-def conv_params(w, b):
-    return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), "conv2d")
-
-
-def lin_params(w, b):
-    return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True), "linear")
+def layer_params(w, b):
+    return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 
 class TestConv2d:
     def test_identity_1x1_kernel_is_bitwise_identity(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(2, 3, 5, 5)))
-        p = conv_params(np.eye(3).reshape(3, 3, 1, 1), np.zeros(3))
+        p = layer_params(np.eye(3).reshape(3, 3, 1, 1), np.zeros(3))
         out = ad.conv2d(x, p)
         assert np.array_equal(out.data, x.data)
 
     def test_ones_kernel_sums_window(self):
         x = Tensor(np.full((1, 1, 4, 4), 2.0))
-        p = conv_params(np.ones((1, 1, 3, 3)), np.zeros(1))
+        p = layer_params(np.ones((1, 1, 3, 3)), np.zeros(1))
         out = ad.conv2d(x, p)
         assert out.data.shape == (1, 1, 2, 2)
         assert np.all(out.data == 18.0)
 
     def test_strided_padded_shape(self):
         x = Tensor(np.zeros((1, 3, 8, 8)))
-        p = conv_params(np.zeros((5, 3, 3, 3)), np.zeros(5))
+        p = layer_params(np.zeros((5, 3, 3, 3)), np.zeros(5))
         assert ad.conv2d(x, p, stride=2, pad=1).data.shape == (1, 5, 4, 4)
 
     def test_channel_mismatch_names_both_shapes(self):
         x = Tensor(np.zeros((1, 3, 8, 8)))
-        p = conv_params(np.zeros((5, 2, 3, 3)), np.zeros(5))
+        p = layer_params(np.zeros((5, 2, 3, 3)), np.zeros(5))
         with pytest.raises(ShapeError, match=r"\(1, 3, 8, 8\).*\(5, 2, 3, 3\)"):
             ad.conv2d(x, p)
 
@@ -73,22 +69,22 @@ class TestMaxpool:
 class TestLinear:
     def test_identity(self):
         x = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
-        p = lin_params(np.eye(3), np.zeros(3))
+        p = layer_params(np.eye(3), np.zeros(3))
         assert np.array_equal(ad.linear(x, p).data, x.data)
 
     def test_arithmetic(self):
-        p = lin_params(np.array([[1.0, 1.0]]), np.array([0.5]))
+        p = layer_params(np.array([[1.0, 1.0]]), np.array([0.5]))
         out = ad.linear(Tensor([[2.0, 3.0]]), p)
         assert np.array_equal(out.data, [[5.5]])
 
     def test_zero_input_gives_bias(self):
-        p = lin_params(np.ones((2, 3)), np.array([0.25, -1.0]))
+        p = layer_params(np.ones((2, 3)), np.array([0.25, -1.0]))
         out = ad.linear(Tensor(np.zeros((4, 3))), p)
         assert np.array_equal(out.data, np.broadcast_to([0.25, -1.0], (4, 2)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            ad.linear(Tensor(np.zeros((2, 3))), lin_params(np.zeros((4, 5)), np.zeros(4)))
+            ad.linear(Tensor(np.zeros((2, 3))), layer_params(np.zeros((4, 5)), np.zeros(4)))
 
 
 class TestSigmoid:
@@ -153,7 +149,7 @@ class TestNumerics:
     def test_bounded_inputs_stay_finite(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.uniform(-10, 10, size=(1, 2, 6, 6)))
-        p = conv_params(rng.uniform(-10, 10, size=(3, 2, 3, 3)), rng.uniform(-10, 10, size=3))
+        p = layer_params(rng.uniform(-10, 10, size=(3, 2, 3, 3)), rng.uniform(-10, 10, size=3))
         out = ad.sigmoid(ad.relu(ad.conv2d(x, p, pad=1)))
         assert np.all(np.isfinite(out.data))
 
@@ -162,20 +158,20 @@ class TestGradCheck:
     def test_linear_layer(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
-        p = lin_params(rng.normal(size=(3, 3)), rng.normal(size=3))
+        p = layer_params(rng.normal(size=(3, 3)), rng.normal(size=3))
 
         def f(x, w, b):
-            return ad.tensor_sum(ad.linear(x, LayerParams(w, b, "linear")))
+            return ad.tensor_sum(ad.linear(x, LayerParams(w, b)))
 
         assert ad.grad_check(f, [x, p.weights, p.bias], eps=1e-5) < 1e-6
 
     def test_conv_layer(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(1, 1, 5, 5)), requires_grad=True)
-        p = conv_params(rng.normal(size=(2, 1, 3, 3)), rng.normal(size=2))
+        p = layer_params(rng.normal(size=(2, 1, 3, 3)), rng.normal(size=2))
 
         def f(x, w, b):
-            return ad.tensor_sum(ad.conv2d(x, LayerParams(w, b, "conv2d"), pad=1))
+            return ad.tensor_sum(ad.conv2d(x, LayerParams(w, b), pad=1))
 
         assert ad.grad_check(f, [x, p.weights, p.bias], eps=1e-5) < 1e-5
 
@@ -199,7 +195,7 @@ class TestGradCheck:
 
 class TestSgdStep:
     def _param(self, w):
-        return lin_params(np.asarray(w, dtype=float), np.zeros(1))
+        return layer_params(np.asarray(w, dtype=float), np.zeros(1))
 
     def test_zero_lr_keeps_weights(self):
         p = self._param([[1.0]])
@@ -237,7 +233,7 @@ class TestSgdStep:
 
     def test_matches_out_of_place_recurrence_bitwise(self):
         rng = np.random.default_rng(3)
-        p = lin_params(rng.standard_normal((3, 4)), rng.standard_normal(3))
+        p = layer_params(rng.standard_normal((3, 4)), rng.standard_normal(3))
         ws = [t.data.copy() for t in p.tensors()]
         vs = [np.zeros_like(w) for w in ws]
         for step in range(6):
@@ -301,7 +297,7 @@ class TestConv2dReference:
     def test_matches_cell_loop(self, n, stride, pad, k):
         rng = np.random.default_rng([n, stride, pad, k])
         x = Tensor(rng.normal(size=(n, 2, 7, 5)), requires_grad=True)  # non-square
-        p = conv_params(rng.normal(size=(4, 2, k, k)), rng.normal(size=4))
+        p = layer_params(rng.normal(size=(4, 2, k, k)), rng.normal(size=4))
         out = ad.conv2d(x, p, stride=stride, pad=pad)
         g = rng.normal(size=out.data.shape)
         ref_y, ref_dx, ref_dw, ref_db = conv_reference(
@@ -379,7 +375,7 @@ class TestNoGrad:
     def setup_method(self):
         rng = np.random.default_rng(8)
         self.x = Tensor(rng.normal(size=(1, 2, 6, 6)), requires_grad=True)
-        self.p = conv_params(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3))
+        self.p = layer_params(rng.normal(size=(3, 2, 3, 3)), rng.normal(size=3))
 
     def grads(self):
         for t in (self.x, *self.p.tensors()):
@@ -389,7 +385,7 @@ class TestNoGrad:
 
     def assert_untracked(self):
         conv = ad.conv2d(self.x, self.p, pad=1)
-        for out in (conv, ad.relu(conv), ad.linear(ad.flatten(conv), lin_params(
+        for out in (conv, ad.relu(conv), ad.linear(ad.flatten(conv), layer_params(
                 np.ones((2, 108)), np.zeros(2))), small_graph(self.x, self.p)):
             assert out.tracked is False and out._backward is None
 

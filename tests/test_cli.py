@@ -190,6 +190,35 @@ class TestTrainEvalRoundTrip:
         assert code == 1 and "--size" in stderr
 
 
+class TestOneEvaluationPath:
+    def test_eval_and_report_reproduce_a_compare_arm(self, capsys, tmp_path):
+        data, out = str(tmp_path / "data"), tmp_path / "cmp"
+        run(capsys, "synth", "--out", data, "--n", "8", "--size", "32", "--seed", "0",
+            "--train-frac", "0.5", "--val-frac", "0.25")
+        code, stdout, err = run(capsys, "compare", "--dataset", data, "--out", str(out),
+                                "--epochs", "1", "--seed", "0")
+        assert code == 0, err
+        resolved, printed = stdout.split("\n", 1)
+        assert resolved.startswith("resolved config:")
+        assert printed == (out / "comparison.md").read_text() + "\n"
+
+        arm, evaldir, reportdir = out / "multimodal", tmp_path / "eval", tmp_path / "report"
+        code, _, err = run(capsys, "eval", "--checkpoint", str(arm / "checkpoint_last.json"),
+                           "--dataset", data, "--out", str(evaldir))
+        assert code == 0, err
+        assert (evaldir / "predictions.json").read_bytes() == \
+               (arm / "predictions.json").read_bytes()
+
+        code, _, err = run(capsys, "report", "--predictions", str(evaldir / "predictions.json"),
+                           "--dataset", data, "--out", str(reportdir))
+        assert code == 0, err
+        got = json.loads((reportdir / "report.json").read_text())
+        want = json.loads((arm / "report.json").read_text())
+        assert got["metadata"].pop("model") == "predictions.json"
+        assert want["metadata"].pop("model") == "multimodal"
+        assert got == want
+
+
 class TestInputChecks:
     @pytest.fixture
     def dataset(self, capsys, tmp_path):
@@ -278,9 +307,15 @@ class TestJsonInputs:
         (lambda p: p["params"]["fc1"].pop("weights"), ["'fc1'", "weights is missing"]),
         (lambda p: p["config"]["channels"].__setitem__(2, "32"), ["channels[2] '32'"]),
         (lambda p: p["config"].update(fusion_mode="max"), ["config", "'max'"]),
+        (lambda p: p["params"]["fc1"].update(kind="banana"),
+         ["'fc1'", "kind 'banana'", "'linear'"]),
+        (lambda p: p["params"]["rpn_conv"].pop("kind"), ["'rpn_conv'", "kind is missing"]),
+        (lambda p: p.update(extra=1), ["unknown keys {'extra': 1}"]),
+        (lambda p: p["params"]["cls"].update(scale=2.0), ["'cls'", "unknown keys {'scale': 2.0}"]),
     ], ids=["config_not_object", "channels_not_list", "img_size_string",
             "layer_not_object", "no_config", "layer_without_weights", "channel_string",
-            "unknown_fusion_mode"])
+            "unknown_fusion_mode", "layer_kind_unknown", "layer_without_kind",
+            "extra_top_level_key", "extra_layer_key"])
     def test_bad_checkpoint(self, capsys, tmp_path, dataset, edit, needles):
         path = tmp_path / "ckpt.json"
         save_checkpoint(str(path), DetectorModel(ModelConfig(img_size=32)))

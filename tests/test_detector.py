@@ -33,27 +33,27 @@ def one_target(img=64):
 class TestBackbone:
     def test_stride_8_shape(self):
         model = DetectorModel(small_config())
-        feat = model.backbone_forward(np.zeros((64, 64)))
+        feat = model.fuse(np.zeros((64, 64)), None)
         assert feat.data.shape == (1, 8, 8, 8)
 
     def test_zero_input_zero_bias_gives_zero(self):
         model = DetectorModel(small_config())
         for name in ("bb_img_0", "bb_img_1", "bb_img_2", "bb_img_3"):
             model.params[name].bias.data[:] = 0.0
-        feat = model.backbone_forward(np.zeros((64, 64)))
+        feat = model.fuse(np.zeros((64, 64)), None)
         assert np.all(feat.data == 0.0)
 
     def test_seeded_determinism(self):
         rng = np.random.default_rng(0)
         image = rng.uniform(size=(64, 64))
-        a = DetectorModel(small_config(seed=3)).backbone_forward(image)
-        b = DetectorModel(small_config(seed=3)).backbone_forward(image)
+        a = DetectorModel(small_config(seed=3)).fuse(image, None)
+        b = DetectorModel(small_config(seed=3)).fuse(image, None)
         assert np.array_equal(a.data, b.data)
 
     def test_size_mismatch(self):
         model = DetectorModel(small_config())
         with pytest.raises(ad.ShapeError):
-            model.backbone_forward(np.zeros((32, 32)))
+            model.fuse(np.zeros((32, 32)), None)
 
 
 class TestFuse:

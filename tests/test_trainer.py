@@ -38,8 +38,8 @@ class TestTrainConfig:
 
 class TestLossCurve:
     def test_csv_total_identity(self, tiny_readings, tmp_path):
-        _, curve = tr.train(tiny_model_cfg(), tiny_readings[:4], tiny_readings[4:6],
-                            TrainConfig(epochs=1, lr=0.005), str(tmp_path / "run"))
+        tr.train(tiny_model_cfg(), tiny_readings[:4], tiny_readings[4:6],
+                 TrainConfig(epochs=1, lr=0.005), str(tmp_path / "run"))
         text = (tmp_path / "run" / "loss_curve.csv").read_text()
         lines = text.strip().split("\n")
         assert lines[0] == "step,epoch,cls,bbox,mask,total"
@@ -50,10 +50,14 @@ class TestLossCurve:
             assert float(cls) + float(bbox) + float(mask) == float(total)
 
     def test_epoch_means_decrease_possible(self, tiny_readings, tmp_path):
-        _, curve = tr.train(tiny_model_cfg(), tiny_readings[:6], [],
-                            TrainConfig(epochs=2, lr=0.01), str(tmp_path / "run"))
-        means = curve.epoch_means()
-        assert set(means) == {0, 1}
+        tr.train(tiny_model_cfg(), tiny_readings[:6], [],
+                 TrainConfig(epochs=2, lr=0.01), str(tmp_path / "run"))
+        totals: dict[int, list[float]] = {}
+        for line in (tmp_path / "run" / "loss_curve.csv").read_text().splitlines()[1:]:
+            _, epoch, *_, total = line.split(",")
+            totals.setdefault(int(epoch), []).append(float(total))
+        means = {e: sum(v) / len(v) for e, v in totals.items()}
+        assert set(means) == {0, 1} and all(len(v) == 6 for v in totals.values())
         assert all(m > 0 for m in means.values())
 
 
@@ -70,9 +74,9 @@ class TestDeterminism:
 
     def test_best_checkpoint_is_the_improving_epochs_last(self, tiny_readings, tmp_path):
         lines = []
-        model, _ = tr.train(tiny_model_cfg(), tiny_readings[:5], tiny_readings[5:7],
-                            TrainConfig(epochs=2, lr=0.005, seed=7), str(tmp_path / "run"),
-                            log=lines.append)
+        model = tr.train(tiny_model_cfg(), tiny_readings[:5], tiny_readings[5:7],
+                         TrainConfig(epochs=2, lr=0.005, seed=7), str(tmp_path / "run"),
+                         log=lines.append)
         val = [float(line.rsplit(" ", 1)[1]) for line in lines if "val loss" in line]
         assert val[1] < val[0]  # epoch 1 improved, so best was written at the end
         run = tmp_path / "run"
@@ -106,26 +110,33 @@ class TestDivergence:
 
 class TestEvaluate:
     def test_checkpoint_round_trip_same_report(self, tiny_readings, tmp_path):
-        model, _ = tr.train(tiny_model_cfg(), tiny_readings[:5], [],
-                            TrainConfig(epochs=1), str(tmp_path / "run"))
-        direct = tr.evaluate(model, tiny_readings[5:])
-        reloaded = tr.evaluate(str(tmp_path / "run" / "checkpoint_last.json"),
-                               tiny_readings[5:])
+        model = tr.train(tiny_model_cfg(), tiny_readings[:5], [],
+                         TrainConfig(epochs=1), str(tmp_path / "run"))
+        direct = tr.evaluate(model, tiny_readings[5:], str(tmp_path / "direct"))
+        reloaded = tr.evaluate(load_checkpoint(str(tmp_path / "run" / "checkpoint_last.json")),
+                               tiny_readings[5:], str(tmp_path / "reloaded"))
         assert direct.to_dict()["classes"] == reloaded.to_dict()["classes"]
         assert direct.average_ap == reloaded.average_ap
+        for fname in ("predictions.json", "report.json", "report.md"):
+            assert (tmp_path / "direct" / fname).read_bytes() == \
+                   (tmp_path / "reloaded" / fname).read_bytes()
 
     def test_empty_eval_set_rejected(self, tiny_readings, tmp_path):
-        model, _ = tr.train(tiny_model_cfg(), tiny_readings[:3], [],
-                            TrainConfig(epochs=1), str(tmp_path / "run"))
+        model = tr.train(tiny_model_cfg(), tiny_readings[:3], [],
+                         TrainConfig(epochs=1), str(tmp_path / "run"))
         with pytest.raises(ValueError, match="empty"):
-            tr.evaluate(model, [])
+            tr.evaluate(model, [], str(tmp_path / "eval"))
+        assert not (tmp_path / "eval").exists()
+        with pytest.raises(ValueError, match="empty"):
+            tr.run_comparison([("arm", tiny_model_cfg())], tiny_readings[:3], [], [],
+                              TrainConfig(epochs=1), str(tmp_path / "cmp"))
 
     def test_annotation_free_dataset_flagged(self, tmp_path):
         readings = ds.synth_generate(
             SynthConfig(n_readings=6, img_size=32, lesions_min=0, lesions_max=0), 2)
-        model, _ = tr.train(tiny_model_cfg(), readings[:4], [],
-                            TrainConfig(epochs=1), str(tmp_path / "run"))
-        report = tr.evaluate(model, readings[4:])
+        model = tr.train(tiny_model_cfg(), readings[:4], [],
+                         TrainConfig(epochs=1), str(tmp_path / "run"))
+        report = tr.evaluate(model, readings[4:], str(tmp_path / "eval"))
         assert report.average_ap is None and report.average_ar is None
         assert len(report.warnings) == 5  # every class lacks ground truth
         assert "n/a" in report.to_markdown()
@@ -134,8 +145,8 @@ class TestEvaluate:
 class TestInferDataset:
     def test_same_detections_as_plain_forward(self, tiny_readings, tmp_path):
         cfg = tiny_model_cfg(use_fixations=True)
-        model, _ = tr.train(cfg, tiny_readings[:4], [], TrainConfig(epochs=1),
-                            str(tmp_path / "run"))
+        model = tr.train(cfg, tiny_readings[:4], [], TrainConfig(epochs=1),
+                         str(tmp_path / "run"))
         got = tr.infer_dataset(model, tiny_readings[4:])
         assert list(got) == [r.id for r in tiny_readings[4:]]
         n_dets = 0
@@ -150,8 +161,8 @@ class TestInferDataset:
         assert n_dets > 0
 
     def test_inference_keeps_no_graph(self, tiny_readings, tmp_path, monkeypatch):
-        model, _ = tr.train(tiny_model_cfg(), tiny_readings[:2], [], TrainConfig(epochs=1),
-                            str(tmp_path / "run"))
+        model = tr.train(tiny_model_cfg(), tiny_readings[:2], [], TrainConfig(epochs=1),
+                         str(tmp_path / "run"))
         outputs = []
         forward = type(model).forward
 

@@ -89,7 +89,7 @@ class TargetBox:
 class Reading:
     id: str
     image: np.ndarray  # (H, W) floats in [0, 1]
-    gaze: list[gz.GazeSample] = field(default_factory=list)
+    gaze: gz.GazeStream = field(default_factory=lambda: gz.GazeStream([], [], []))
     fixations: list[gz.Fixation] | None = None
     annotations: list[EllipseAnnotation] = field(default_factory=list)
 
@@ -167,7 +167,7 @@ def load_reading(path: str) -> Reading:
 
     gaze_path = os.path.join(path, "gaze.csv")
     fix_path = os.path.join(path, "fixations.csv")
-    samples: list[gz.GazeSample] = []
+    samples = gz.GazeStream([], [], [])
     fixations = None
     if os.path.exists(fix_path):
         fixations = gz.read_fixation_csv(fix_path)
@@ -313,38 +313,9 @@ def _render_image(rng: np.random.Generator, cfg: SynthConfig,
     return np.clip(img, 0.0, 1.0)
 
 
-def _dwell(rng, t0: float, cx: float, cy: float, noise: float, n: int) -> list[gz.GazeSample]:
-    out = []
-    for k in range(n):
-        out.append(
-            gz.GazeSample(
-                t_ms=t0 + k * _DT_MS,
-                x_px=cx + float(rng.normal(0, noise)),
-                y_px=cy + float(rng.normal(0, noise)),
-                pupil_mm=float(rng.uniform(2.5, 4.5)),
-                valid=True,
-            )
-        )
-    return out
-
-
-def _saccade(rng, t0: float, a: tuple, b: tuple, n: int = 4) -> list[gz.GazeSample]:
-    out = []
-    for k in range(n):
-        f = (k + 1) / (n + 1)
-        out.append(
-            gz.GazeSample(
-                t_ms=t0 + k * _DT_MS,
-                x_px=a[0] + f * (b[0] - a[0]),
-                y_px=a[1] + f * (b[1] - a[1]),
-                pupil_mm=None,
-                valid=True,
-            )
-        )
-    return out
-
-
-def _synth_gaze(rng, cfg: SynthConfig, lesions: list[EllipseAnnotation]) -> list[gz.GazeSample]:
+def _synth_gaze(rng, cfg: SynthConfig, lesions: list[EllipseAnnotation]) -> gz.GazeStream:
+    """A 4-sample saccade sweep into each stop, then a dwell there; the rng
+    draws x, y and pupil for each dwell sample in that order."""
     n_dwell = int(_DWELL_MS / _DT_MS)
     stops: list[tuple[float, float]] = [(e.cx, e.cy) for e in lesions]
     # one distractor dwell away from every lesion, mimicking interface noise
@@ -354,22 +325,34 @@ def _synth_gaze(rng, cfg: SynthConfig, lesions: list[EllipseAnnotation]) -> list
         if all(np.hypot(dx - e.cx, dy - e.cy) > max(e.rx, e.ry) + 4 for e in lesions):
             stops.append((dx, dy))
             break
-    samples: list[gz.GazeSample] = []
+    ts: list[float] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    pupils: list[float] = []
     t = 0.0
     pos = (cfg.img_size / 2.0, cfg.img_size / 2.0)
+    noise = _GAZE_NOISE_PX * cfg.img_size / 64.0
     for stop in stops:
-        sweep = _saccade(rng, t, pos, stop)
-        samples.extend(sweep)
-        t = sweep[-1].t_ms + _DT_MS
-        noise = _GAZE_NOISE_PX * cfg.img_size / 64.0
-        dwell = _dwell(rng, t, stop[0], stop[1], noise, n_dwell)
-        samples.extend(dwell)
-        t = dwell[-1].t_ms + _DT_MS
+        for k in range(4):
+            f = (k + 1) / 5
+            ts.append(t + k * _DT_MS)
+            xs.append(pos[0] + f * (stop[0] - pos[0]))
+            ys.append(pos[1] + f * (stop[1] - pos[1]))
+            pupils.append(math.nan)
+        t = ts[-1] + _DT_MS
+        for k in range(n_dwell):
+            ts.append(t + k * _DT_MS)
+            xs.append(stop[0] + float(rng.normal(0, noise)))
+            ys.append(stop[1] + float(rng.normal(0, noise)))
+            pupils.append(float(rng.uniform(2.5, 4.5)))
+        t = ts[-1] + _DT_MS
         pos = stop
     # sprinkle tracker dropouts and off-screen glances that filtering removes
-    samples.append(gz.GazeSample(t, -500.0, -500.0, None, valid=True))
-    samples.append(gz.GazeSample(t + _DT_MS, 0.0, 0.0, None, valid=False))
-    return samples
+    ts += [t, t + _DT_MS]
+    xs += [-500.0, 0.0]
+    ys += [-500.0, 0.0]
+    pupils += [math.nan, math.nan]
+    return gz.GazeStream(ts, xs, ys, pupils, [True] * (len(ts) - 1) + [False])
 
 
 def synth_generate(config: SynthConfig, seed: int) -> list[Reading]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
 
 import numpy as np
 
@@ -34,16 +34,35 @@ GAZE_CSV_HEADER = ["t_ms", "x_px", "y_px", "pupil_mm", "valid"]
 FIXATION_CSV_HEADER = ["cx_px", "cy_px", "start_ms", "end_ms"]
 
 
-@dataclass(slots=True)
-class GazeSample:
-    """One tracker sample. Not frozen: a frozen dataclass sets each field
-    through object.__setattr__, which dominates reading long recordings."""
+@dataclass(eq=False)
+class GazeStream:
+    """A gaze recording as columns, one entry per tracker sample in time order.
 
-    t_ms: float
-    x_px: float
-    y_px: float
-    pupil_mm: float | None = None
-    valid: bool = True
+    ``t_ms``, ``x_px``, ``y_px`` and ``pupil_mm`` are float64 arrays, with
+    ``pupil_mm`` NaN where a sample has no pupil reading; ``valid`` is a bool
+    array. Omitted, ``pupil_mm`` is all NaN and ``valid`` all True.
+    """
+
+    t_ms: np.ndarray
+    x_px: np.ndarray
+    y_px: np.ndarray
+    pupil_mm: np.ndarray | None = None
+    valid: np.ndarray | None = None
+
+    def __post_init__(self):
+        n = len(self.t_ms)
+        if self.pupil_mm is None:
+            self.pupil_mm = np.full(n, np.nan)
+        if self.valid is None:
+            self.valid = np.ones(n, dtype=bool)
+        for name in ("t_ms", "x_px", "y_px", "pupil_mm", "valid"):
+            column = np.asarray(getattr(self, name), dtype=bool if name == "valid" else np.float64)
+            if column.shape != (n,):
+                raise ValueError(f"gaze column {name} has shape {column.shape}, expected ({n},)")
+            setattr(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.t_ms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,51 +100,51 @@ def scaled_default(value_at_512: float, image_width: int) -> float:
 
 
 def filter_gaze(
-    samples: list[GazeSample], width: int, height: int, margin_px: float = 0.0
-) -> list[GazeSample]:
+    samples: GazeStream, width: int, height: int, margin_px: float = 0.0
+) -> GazeStream:
     """Drop invalid samples and samples outside the image plus margin.
 
     Order is preserved; the result may be empty. Idempotent.
     """
-    out = []
-    for s in samples:
-        if not s.valid:
-            continue
-        if -margin_px <= s.x_px <= width + margin_px and -margin_px <= s.y_px <= height + margin_px:
-            out.append(s)
-    return out
+    if not (0.0 <= margin_px < math.inf):
+        raise ValueError(f"margin_px must be finite and >= 0, got {margin_px!r}")
+    x, y = samples.x_px, samples.y_px
+    keep = (samples.valid & (-margin_px <= x) & (x <= width + margin_px)
+            & (-margin_px <= y) & (y <= height + margin_px))
+    return GazeStream(samples.t_ms[keep], x[keep], y[keep], samples.pupil_mm[keep],
+                      samples.valid[keep])
 
 
 def detect_fixations(
-    samples: list[GazeSample],
+    samples: GazeStream,
     dispersion_px: float = DEFAULT_DISPERSION_PX,
     min_duration_ms: float = DEFAULT_MIN_DURATION_MS,
 ) -> list[Fixation]:
     """I-DT fixation detection over a time-sorted sample stream."""
-    if dispersion_px <= 0 or min_duration_ms <= 0:
-        raise ValueError("dispersion_px and min_duration_ms must be positive")
-    if samples:
-        prev_t = samples[0].t_ms
-        for s in islice(samples, 1, None):
-            t = s.t_ms
-            if t <= prev_t:
-                raise ValueError(f"gaze samples not strictly increasing in time at t={t}")
-            prev_t = t
+    if not (0.0 < dispersion_px < math.inf):
+        raise ValueError(f"dispersion_px must be finite and positive, got {dispersion_px!r}")
+    if not (0.0 < min_duration_ms < math.inf):
+        raise ValueError(f"min_duration_ms must be finite and positive, got {min_duration_ms!r}")
+    ts = samples.t_ms.tolist()
+    # `<=`, not `~(>)`: a NaN timestamp passes, as it does sample by sample
+    back = np.flatnonzero(samples.t_ms[1:] <= samples.t_ms[:-1])
+    if len(back):
+        raise ValueError(f"gaze samples not strictly increasing in time at t={ts[back[0] + 1]}")
+    xs = samples.x_px.tolist()
+    ys = samples.y_px.tolist()
 
     # `x if x < m else m` is min(m, x) exactly, NaN and signed zeros included,
     # without the builtin call; likewise for max.
     fixations: list[Fixation] = []
-    n = len(samples)
+    n = len(xs)
     i = 0
     while i < n:
-        s = samples[i]
-        min_x = max_x = s.x_px
-        min_y = max_y = s.y_px
+        min_x = max_x = xs[i]
+        min_y = max_y = ys[i]
         j = i
         while j + 1 < n:
-            s = samples[j + 1]
-            x = s.x_px
-            y = s.y_px
+            x = xs[j + 1]
+            y = ys[j + 1]
             nmin_x = x if x < min_x else min_x
             nmax_x = x if x > max_x else max_x
             nmin_y = y if y < min_y else min_y
@@ -134,13 +153,11 @@ def detect_fixations(
                 break
             min_x, max_x, min_y, max_y = nmin_x, nmax_x, nmin_y, nmax_y
             j += 1
-        start_ms = samples[i].t_ms
-        end_ms = samples[j].t_ms
+        start_ms = ts[i]
+        end_ms = ts[j]
         if end_ms - start_ms >= min_duration_ms:
-            window = samples[i : j + 1]
-            k = len(window)
-            fixations.append(Fixation(sum([s.x_px for s in window]) / k,
-                                      sum([s.y_px for s in window]) / k,
+            k = j + 1 - i
+            fixations.append(Fixation(sum(xs[i : j + 1]) / k, sum(ys[i : j + 1]) / k,
                                       start_ms, end_ms, k))
         i = j + 1
     return fixations
@@ -164,8 +181,8 @@ def render_heatmap(
     """
     if width <= 0 or height <= 0:
         raise ValueError(f"non-positive heatmap dimensions ({width}, {height})")
-    if sigma_px <= 0:
-        raise ValueError("sigma_px must be positive")
+    if not (0.0 < sigma_px < math.inf):
+        raise ValueError(f"sigma_px must be finite and positive, got {sigma_px!r}")
     if weighting not in ("duration", "uniform"):
         raise ValueError(f"unknown weighting {weighting!r}")
     inv = 1.0 / (2.0 * sigma_px * sigma_px)
@@ -184,6 +201,8 @@ def render_heatmap(
 
 def binarize(fmap: FixationMap, threshold: float) -> FixationMap:
     """Hard mask variant of a heatmap: 1 where value >= threshold."""
+    if not (0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
     return FixationMap(fmap.width, fmap.height, (fmap.values >= threshold).astype(np.float64))
 
 
@@ -199,17 +218,17 @@ def _csv_fields(line: str) -> list[str]:
 
 @contextmanager
 def _csv_body(path: str, header: list[str], kind: str):
-    """Check the header of a gaze-format CSV file; yield its numbered body lines.
+    """Check the header of a gaze-format CSV file; yield the file at line 2.
 
     Both gaze files share one grammar (README "Data formats"): comma-separated
     lines ending in LF, CRLF or CR, no quoting. Readers split a body line with
-    ``line.rstrip("\r\n").split(",")`` in their own loop."""
+    ``line.rstrip("\r\n").split(",")``."""
     with open(path, newline="") as fh:
         first = fh.readline()
         got = _csv_fields(first) if first else None
         if got != header:
             raise ValueError(f"{path}:1: bad {kind} header {got}")
-        yield enumerate(fh, start=2)
+        yield fh
 
 
 def _bad_row(path: str, lineno: int, line: str, header: list[str]) -> ValueError:
@@ -221,47 +240,106 @@ def _bad_row(path: str, lineno: int, line: str, header: list[str]) -> ValueError
     return ValueError(f"{path}:{lineno}: non-finite {name} {text!r}")
 
 
-def read_gaze_csv(path: str) -> list[GazeSample]:
-    """Parse `t_ms,x_px,y_px,pupil_mm,valid`: finite numbers, pupil may be empty,
-    valid in {0,1}, t_ms >= 0 and strictly increasing (README "Data formats").
-    Any other line raises ValueError naming `path:line`."""
-    samples: list[GazeSample] = []
-    append = samples.append
+# Characters per `readlines` block of gaze.csv: about 1k lines of 17-digit
+# samples. Parsing a block at once is what makes the reader fast; parsing the
+# whole file at once would hold every line's strings in memory together.
+_BLOCK_HINT = 64 * 1024
+
+
+def _gaze_block(lines: list[str], prev_t: float):
+    """The five columns of a block of gaze lines, or None if any line is bad.
+
+    One split of the joined block and one ``map(float, ...)`` per column
+    apply the same grammar and checks as `_gaze_lines`, for the whole block."""
+    rows = [line.rstrip("\r\n") for line in lines]
+    n = len(rows)
+    if list(map(str.count, rows, repeat(",", n))).count(4) != n:
+        return None
+    fields = ",".join(rows).split(",")
+    pupil_s = fields[3::5]
+    valid_s = fields[4::5]
+    if valid_s.count("0") + valid_s.count("1") != n:
+        return None
+    n_empty = pupil_s.count("")
+    try:
+        t, x, y, pupil = (np.fromiter(map(float, column), np.float64, n) for column in (
+            fields[0::5], fields[1::5], fields[2::5], [p or "nan" for p in pupil_s]))
+    except ValueError:
+        return None
+    # an empty pupil reads as NaN; any further non-finite pupil is in the text
+    if not (np.isfinite(t).all() and np.isfinite(x).all() and np.isfinite(y).all()
+            and n - np.count_nonzero(np.isfinite(pupil)) == n_empty
+            and prev_t < t[0] and t[0] >= 0 and (t[1:] > t[:-1]).all()):
+        return None
+    valid = np.frombuffer("".join(valid_s).encode(), dtype=np.uint8) == ord("1")
+    return t, x, y, pupil, valid
+
+
+def _gaze_lines(path: str, lines: list[str], lineno: int, prev_t: float):
+    """The five columns of a block of gaze lines, read line by line; raises
+    the `path:line` error of the first bad line."""
+    columns = ([], [], [], [], [])
     flags = {"0": False, "1": True}
     isfinite = math.isfinite
+    for lineno, line in enumerate(lines, start=lineno):
+        row = line.rstrip("\r\n").split(",")
+        if len(row) != 5:
+            raise _bad_row(path, lineno, line, GAZE_CSV_HEADER)
+        t_s, x_s, y_s, pupil_s, valid_s = row
+        try:
+            t = float(t_s)
+            x = float(x_s)
+            y = float(y_s)
+            pupil = float(pupil_s) if pupil_s else math.nan
+            valid = flags[valid_s]
+        except (ValueError, KeyError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
+        if not (isfinite(t) and isfinite(x) and isfinite(y)) or pupil_s and not isfinite(pupil):
+            raise _bad_row(path, lineno, line, GAZE_CSV_HEADER)
+        if t < 0:
+            raise ValueError(f"{path}:{lineno}: negative timestamp {t}")
+        if t <= prev_t:
+            raise ValueError(f"{path}:{lineno}: timestamps not strictly increasing")
+        prev_t = t
+        for column, value in zip(columns, (t, x, y, pupil, valid)):
+            column.append(value)
+    return columns
+
+
+def read_gaze_csv(path: str) -> GazeStream:
+    """Parse `t_ms,x_px,y_px,pupil_mm,valid`: finite numbers, pupil may be empty
+    (NaN in the stream), valid in {0,1}, t_ms >= 0 and strictly increasing
+    (README "Data formats"). Any other line raises ValueError naming `path:line`.
+
+    The file is parsed block by block; a block that fails the block checks is
+    read again line by line to find its first bad line."""
+    blocks = []
     prev_t = -math.inf
-    with _csv_body(path, GAZE_CSV_HEADER, "gaze") as body:
-        for lineno, line in body:
-            row = line.rstrip("\r\n").split(",")
-            if len(row) != 5:
-                raise _bad_row(path, lineno, line, GAZE_CSV_HEADER)
-            t_s, x_s, y_s, pupil_s, valid_s = row
-            try:
-                t = float(t_s)
-                x = float(x_s)
-                y = float(y_s)
-                pupil = float(pupil_s) if pupil_s else None
-                valid = flags[valid_s]
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            if not (isfinite(t) and isfinite(x) and isfinite(y)) or pupil_s and not isfinite(pupil):
-                raise _bad_row(path, lineno, line, GAZE_CSV_HEADER)
-            if t < 0:
-                raise ValueError(f"{path}:{lineno}: negative timestamp {t}")
-            if t <= prev_t:
-                raise ValueError(f"{path}:{lineno}: timestamps not strictly increasing")
-            prev_t = t
-            append(GazeSample(t, x, y, pupil, valid))
-    return samples
+    lineno = 2
+    with _csv_body(path, GAZE_CSV_HEADER, "gaze") as fh:
+        while lines := fh.readlines(_BLOCK_HINT):
+            block = _gaze_block(lines, prev_t)
+            if block is None:
+                block = _gaze_lines(path, lines, lineno, prev_t)
+            blocks.append(block)
+            prev_t = block[0][-1]
+            lineno += len(lines)
+    if not blocks:
+        return GazeStream([], [], [])
+    return GazeStream(*(np.concatenate(column) for column in zip(*blocks)))
 
 
-def write_gaze_csv(path: str, samples: list[GazeSample]) -> None:
-    """Write nothing if a number is non-finite; raise the reader's error for its line."""
+def write_gaze_csv(path: str, samples: GazeStream) -> None:
+    """Write nothing if a number is non-finite; raise the reader's error for its line.
+
+    A NaN pupil is written as an empty field."""
     lines = [",".join(GAZE_CSV_HEADER)]
-    for lineno, s in enumerate(samples, start=2):
-        pupil = repr(s.pupil_mm) if s.pupil_mm is not None else ""
-        lines.append(f"{s.t_ms!r},{s.x_px!r},{s.y_px!r},{pupil},{1 if s.valid else 0}")
-        if not all(map(math.isfinite, (s.t_ms, s.x_px, s.y_px, s.pupil_mm or 0.0))):
+    rows = zip(samples.t_ms.tolist(), samples.x_px.tolist(), samples.y_px.tolist(),
+               samples.pupil_mm.tolist(), samples.valid.tolist())
+    for lineno, (t, x, y, pupil, valid) in enumerate(rows, start=2):
+        pupil_s = "" if math.isnan(pupil) else repr(pupil)
+        lines.append(f"{t!r},{x!r},{y!r},{pupil_s},{1 if valid else 0}")
+        if not all(map(math.isfinite, (t, x, y))) or math.isinf(pupil):
             raise _bad_row(path, lineno, lines[-1], GAZE_CSV_HEADER)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
@@ -271,8 +349,8 @@ def read_fixation_csv(path: str) -> list[Fixation]:
 
     Fixations off the image are kept; `render_heatmap` defines how they count."""
     fixations: list[Fixation] = []
-    with _csv_body(path, FIXATION_CSV_HEADER, "fixation") as body:
-        for lineno, line in body:
+    with _csv_body(path, FIXATION_CSV_HEADER, "fixation") as fh:
+        for lineno, line in enumerate(fh, start=2):
             row = line.rstrip("\r\n").split(",")
             if len(row) != 4:
                 raise _bad_row(path, lineno, line, FIXATION_CSV_HEADER)
@@ -301,8 +379,9 @@ def write_fixation_csv(path: str, fixations: list[Fixation]) -> None:
 def write_pgm(path: str, values: np.ndarray) -> None:
     """8-bit binary PGM (P5, maxval 255) from values in [0, 1]."""
     v = np.asarray(values, dtype=np.float64)
-    if v.min() < 0 or v.max() > 1:
-        raise ValueError("PGM values must lie in [0, 1]")
+    if not (0.0 <= v.min() <= v.max() <= 1.0):
+        raise ValueError(f"{path}: values must lie in [0, 1], "
+                         f"got min {float(v.min())!r} and max {float(v.max())!r}")
     h, w = v.shape
     body = np.round(v * 255.0).astype(np.uint8)
     atomic_write_bytes(path, f"P5\n{w} {h}\n255\n".encode(), body)
@@ -343,6 +422,10 @@ def read_pgm(path: str) -> np.ndarray:
 def write_float_map(path: str, values: np.ndarray) -> None:
     """Raw float64 sidecar for exact heatmap round-trips."""
     v = np.ascontiguousarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if len(bad):
+        raise ValueError(f"{path}: non-finite value {float(v.flat[bad[0]])!r} "
+                         f"at flat index {bad[0]}")
     h, w = v.shape
     atomic_write_bytes(path, f"GFMAP {w} {h}\n".encode(), v)
 

@@ -188,6 +188,8 @@ def run_comparison(model_cfg_pairs: list[tuple[str, ModelConfig]],
 
     Emits per-arm artifacts plus a side-by-side comparison table.
     """
+    if not test_readings:
+        raise ValueError("cannot evaluate on an empty reading list")
     reports: dict[str, mx.MetricsReport] = {}
     for tag, model_cfg in model_cfg_pairs:
         arm_dir = os.path.join(out_dir, tag)

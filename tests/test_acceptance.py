@@ -179,7 +179,8 @@ def test_criterion_6_gaze_pipeline(capsys):
     pts = [(50 + rng.normal(0, 1), 50 + rng.normal(0, 1)) for _ in range(21)]
     pts += [(50 + k * 30.0, 50 + k * 14.0) for k in range(1, 5)]
     pts += [(200 + rng.normal(0, 1), 120 + rng.normal(0, 1)) for _ in range(21)]
-    stream = [gz.GazeSample(i * 10.0, x, y) for i, (x, y) in enumerate(pts)]
+    stream = gz.GazeStream([i * 10.0 for i in range(len(pts))],
+                           [x for x, _ in pts], [y for _, y in pts])
     fixes = gz.detect_fixations(stream, 25.0, 100.0)
     assert len(fixes) == 2
     assert np.hypot(fixes[0].cx_px - 50, fixes[0].cy_px - 50) < 2

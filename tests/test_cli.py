@@ -13,7 +13,7 @@ from gazedet import gaze as gz
 from gazedet import gradchecks
 from gazedet.cli import main
 from gazedet.detector import DetectorModel, ModelConfig, save_checkpoint
-from gazedet.gaze import Fixation, GazeSample
+from gazedet.gaze import Fixation, GazeStream
 
 
 def run(capsys, *argv):
@@ -62,8 +62,8 @@ class TestFixationsAndHeatmap:
     @pytest.fixture
     def gaze_csv(self, tmp_path):
         path = str(tmp_path / "gaze.csv")
-        stream = [GazeSample(i * 10.0, 100.0, 100.0) for i in range(30)]
-        stream += [GazeSample(300 + i * 10.0, 300.0, 200.0) for i in range(30)]
+        stream = GazeStream([i * 10.0 for i in range(30)] + [300 + i * 10.0 for i in range(30)],
+                            [100.0] * 30 + [300.0] * 30, [100.0] * 30 + [200.0] * 30)
         gz.write_gaze_csv(path, stream)
         return path
 
@@ -89,6 +89,22 @@ class TestFixationsAndHeatmap:
                               str(tmp_path / "nope.csv"), "--out",
                               str(tmp_path / "f.csv"))
         assert code == 1 and "error" in stderr
+
+    @pytest.mark.parametrize("flag, parameter", [
+        (["fixations", "--dispersion", "nan"], "dispersion_px"),
+        (["fixations", "--min-dur", "nan"], "min_duration_ms"),
+        (["fixations", "--margin", "nan", "--width", "512", "--height", "512"], "margin_px"),
+        (["heatmap", "--sigma", "nan", "--width", "64", "--height", "64"], "sigma_px"),
+        (["heatmap", "--binarize", "nan", "--width", "64", "--height", "64"], "threshold"),
+    ], ids=["dispersion", "min_dur", "margin", "sigma", "binarize"])
+    def test_nan_parameter_exits_1(self, capsys, tmp_path, gaze_csv, flag, parameter):
+        fix_csv = str(tmp_path / "fix.csv")
+        run(capsys, "fixations", "--gaze", gaze_csv, "--out", fix_csv)
+        out = tmp_path / "out"
+        source = ["--gaze", gaze_csv] if flag[0] == "fixations" else ["--fixations", fix_csv]
+        code, _, stderr = run(capsys, flag[0], *source, "--out", str(out), *flag[1:])
+        assert code == 1 and f"{parameter} " in stderr and "nan" in stderr
+        assert not out.exists()
 
     def test_idempotent_outputs(self, capsys, tmp_path, gaze_csv):
         outs = []
@@ -271,7 +287,7 @@ class TestInputChecks:
                              ids=["width_only", "height_only", "negative_width"])
     def test_fixations_needs_both_sizes(self, capsys, tmp_path, size):
         gaze = str(tmp_path / "gaze.csv")
-        gz.write_gaze_csv(gaze, [GazeSample(i * 10.0, 10.0, 10.0) for i in range(10)])
+        gz.write_gaze_csv(gaze, GazeStream([i * 10.0 for i in range(10)], [10.0] * 10, [10.0] * 10))
         out = tmp_path / "f.csv"
         code, _, stderr = run(capsys, "fixations", "--gaze", gaze, "--out", str(out), *size)
         assert code == 1

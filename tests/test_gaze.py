@@ -1,16 +1,35 @@
+import functools
+import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gazedet import gaze as gz
-from gazedet.gaze import Fixation, GazeSample
+from gazedet.gaze import Fixation, GazeStream
 
 
 def make_stream(points, t0=0.0, dt=10.0):
-    return [GazeSample(t0 + i * dt, x, y) for i, (x, y) in enumerate(points)]
+    return GazeStream([t0 + i * dt for i in range(len(points))],
+                      [x for x, _ in points], [y for _, y in points])
+
+
+def stream_of(rows):
+    """A GazeStream from (t, x, y, pupil or None, valid) rows."""
+    return GazeStream([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
+                      [math.nan if r[3] is None else r[3] for r in rows],
+                      [r[4] for r in rows])
+
+
+def assert_same_stream(got, expected):
+    """Exact column equality; NaN equals NaN only in pupil_mm, where it means empty."""
+    assert len(got) == len(expected)
+    for name in ("t_ms", "x_px", "y_px", "valid"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+    assert np.array_equal(got.pupil_mm, expected.pupil_mm, equal_nan=True)
 
 
 def two_cluster_stream(seed=0, c1=(50.0, 50.0), c2=(200.0, 120.0), noise=1.0):
@@ -26,24 +45,22 @@ def two_cluster_stream(seed=0, c1=(50.0, 50.0), c2=(200.0, 120.0), noise=1.0):
 
 def idt_oracle(samples, dispersion, min_duration):
     """Brute-force windowing re-implementation; spans recomputed from scratch."""
+    ts, xs, ys = samples.t_ms.tolist(), samples.x_px.tolist(), samples.y_px.tolist()
     out = []
     i = 0
-    while i < len(samples):
+    while i < len(ts):
         j = i
-        while j + 1 < len(samples):
-            win = samples[i : j + 2]
-            xs = [s.x_px for s in win]
-            ys = [s.y_px for s in win]
-            if (max(xs) - min(xs)) + (max(ys) - min(ys)) > dispersion:
+        while j + 1 < len(ts):
+            wx, wy = xs[i : j + 2], ys[i : j + 2]
+            if (max(wx) - min(wx)) + (max(wy) - min(wy)) > dispersion:
                 break
             j += 1
-        win = samples[i : j + 1]
-        if win[-1].t_ms - win[0].t_ms >= min_duration:
+        if ts[j] - ts[i] >= min_duration:
             out.append((
-                sum(s.x_px for s in win) / len(win),
-                sum(s.y_px for s in win) / len(win),
-                win[0].t_ms,
-                win[-1].t_ms,
+                sum(xs[i : j + 1]) / (j + 1 - i),
+                sum(ys[i : j + 1]) / (j + 1 - i),
+                ts[i],
+                ts[j],
             ))
         i = j + 1
     return out
@@ -91,29 +108,32 @@ def fixation_sets(draw):
 class TestFilterGaze:
     def test_all_inside_unchanged(self):
         stream = make_stream([(10, 10), (20, 30)])
-        assert gz.filter_gaze(stream, 512, 512) == stream
+        assert_same_stream(gz.filter_gaze(stream, 512, 512), stream)
 
     def test_far_outside_dropped(self):
-        stream = [GazeSample(i * 10.0, -500.0, 100.0) for i in range(5)]
-        assert gz.filter_gaze(stream, 512, 512, margin_px=0.0) == []
+        stream = make_stream([(-500.0, 100.0)] * 5)
+        assert len(gz.filter_gaze(stream, 512, 512, margin_px=0.0)) == 0
 
     def test_mixed_preserves_order(self):
-        stream = []
-        for i in range(10):
-            stream.append(GazeSample(i * 10.0, 5.0 + i, 5.0, valid=i % 3 != 0))
+        stream = stream_of([(i * 10.0, 5.0 + i, 5.0, None, i % 3 != 0) for i in range(10)])
         out = gz.filter_gaze(stream, 512, 512)
         assert len(out) == 6  # i in {0,3,6,9} invalid
-        assert [s.t_ms for s in out] == sorted(s.t_ms for s in out)
+        assert out.t_ms.tolist() == sorted(out.t_ms.tolist())
 
     def test_idempotent(self):
         stream = make_stream([(10, 10), (-40, 10), (600, 10)])
         once = gz.filter_gaze(stream, 512, 512, margin_px=5)
-        assert gz.filter_gaze(once, 512, 512, margin_px=5) == once
+        assert_same_stream(gz.filter_gaze(once, 512, 512, margin_px=5), once)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -1.0])
+    def test_bad_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match=f"margin_px .*{margin!r}"):
+            gz.filter_gaze(make_stream([(10, 10)]), 512, 512, margin_px=margin)
 
 
 class TestDetectFixations:
     def test_degenerate_cluster(self):
-        stream = [GazeSample(i * 300.0 / 29, 100.0, 100.0) for i in range(30)]
+        stream = GazeStream([i * 300.0 / 29 for i in range(30)], [100.0] * 30, [100.0] * 30)
         fixes = gz.detect_fixations(stream, 25.0, 100.0)
         assert len(fixes) == 1
         f = fixes[0]
@@ -121,7 +141,7 @@ class TestDetectFixations:
         assert np.isclose(f.duration_ms, 300.0)
 
     def test_empty_input(self):
-        assert gz.detect_fixations([], 25.0, 100.0) == []
+        assert gz.detect_fixations(make_stream([]), 25.0, 100.0) == []
 
     def test_two_planted_clusters(self):
         fixes = gz.detect_fixations(two_cluster_stream(), 25.0, 100.0)
@@ -130,9 +150,19 @@ class TestDetectFixations:
         assert np.hypot(fixes[1].cx_px - 200, fixes[1].cy_px - 120) < 2
 
     def test_unsorted_input_errors(self):
-        stream = [GazeSample(10.0, 1, 1), GazeSample(5.0, 1, 1)]
-        with pytest.raises(ValueError, match="increasing"):
+        stream = GazeStream([10.0, 5.0], [1, 1], [1, 1])
+        with pytest.raises(ValueError, match="increasing in time at t=5.0"):
             gz.detect_fixations(stream, 25.0, 100.0)
+
+    @pytest.mark.parametrize("dispersion", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_dispersion_rejected(self, dispersion):
+        with pytest.raises(ValueError, match=f"dispersion_px .*{dispersion!r}"):
+            gz.detect_fixations(two_cluster_stream(), dispersion, 100.0)
+
+    @pytest.mark.parametrize("min_duration", [math.nan, math.inf, 0.0, -5.0])
+    def test_bad_min_duration_rejected(self, min_duration):
+        with pytest.raises(ValueError, match=f"min_duration_ms .*{min_duration!r}"):
+            gz.detect_fixations(two_cluster_stream(), 25.0, min_duration)
 
     def test_output_time_ordered_non_overlapping(self):
         fixes = gz.detect_fixations(two_cluster_stream(3), 25.0, 100.0)
@@ -146,7 +176,7 @@ class TestDetectFixations:
         n = int(rng.integers(0, 200))
         xs = np.cumsum(rng.uniform(-15, 15, size=n)) + 100
         ys = np.cumsum(rng.uniform(-15, 15, size=n)) + 100
-        stream = [GazeSample(i * 10.0, float(x), float(y)) for i, (x, y) in enumerate(zip(xs, ys))]
+        stream = GazeStream([i * 10.0 for i in range(n)], xs, ys)
         got = gz.detect_fixations(stream, 30.0, 80.0)
         expected = idt_oracle(stream, 30.0, 80.0)
         assert len(got) == len(expected)
@@ -161,7 +191,7 @@ class TestDetectFixations:
         n = int(rng.integers(1, 150))
         xs = np.cumsum(rng.uniform(-10, 10, size=n))
         ys = np.cumsum(rng.uniform(-10, 10, size=n))
-        stream = [GazeSample(i * 10.0, float(x), float(y)) for i, (x, y) in enumerate(zip(xs, ys))]
+        stream = GazeStream([i * 10.0 for i in range(n)], xs, ys)
         low = gz.detect_fixations(stream, 30.0, min_dur)
         high = gz.detect_fixations(stream, 30.0, min_dur * 2)
         assert len(high) <= len(low)
@@ -217,6 +247,11 @@ class TestRenderHeatmap:
         with pytest.raises(ValueError):
             gz.render_heatmap([], 0, 10, sigma_px=5.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, 0.0, -2.0])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match=f"sigma_px .*{sigma!r}"):
+            gz.render_heatmap([Fixation(16, 16, 0, 100)], 32, 32, sigma_px=sigma)
+
     @pytest.mark.parametrize("fix", [
         Fixation(10, 10, 100.0, 100.0),  # zero duration
         Fixation(5000, 5000, 0.0, 100.0),  # far off the image
@@ -248,6 +283,12 @@ class TestRenderHeatmap:
         hard = gz.binarize(fmap, 0.5)
         assert set(np.unique(hard.values)) <= {0.0, 1.0}
         assert hard.values[16, 16] == 1.0
+
+    @pytest.mark.parametrize("threshold", [math.nan, -0.5, 1.5])
+    def test_binarize_bad_threshold_rejected(self, threshold):
+        fmap = gz.render_heatmap([Fixation(16, 16, 0, 100)], 32, 32, sigma_px=4.0)
+        with pytest.raises(ValueError, match=f"threshold .*{threshold!r}"):
+            gz.binarize(fmap, threshold)
 
 
 class TestHeatmapMatchesReference:
@@ -293,12 +334,11 @@ class TestHeatmapMatchesReference:
 class TestFileFormats:
     def test_gaze_csv_round_trip(self, tmp_path):
         path = str(tmp_path / "gaze.csv")
-        stream = [
-            GazeSample(0.0, 1.5, 2.5, 3.25, True),
-            GazeSample(10.0, -4.0, 7.0, None, False),
-        ]
+        stream = stream_of([(0.0, 1.5, 2.5, 3.25, True), (10.0, -4.0, 7.0, None, False)])
         gz.write_gaze_csv(path, stream)
-        assert gz.read_gaze_csv(path) == stream
+        assert (tmp_path / "gaze.csv").read_text() == (
+            "t_ms,x_px,y_px,pupil_mm,valid\n0.0,1.5,2.5,3.25,1\n10.0,-4.0,7.0,,0\n")
+        assert_same_stream(gz.read_gaze_csv(path), stream)
 
     def test_gaze_csv_decreasing_time_cites_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -321,6 +361,24 @@ class TestFileFormats:
         name = gz.FIXATION_CSV_HEADER[field]
         with pytest.raises(ValueError, match=rf"fix\.csv:3: non-finite {name} '{value!r}'"):
             gz.write_fixation_csv(str(path), [Fixation(1.0, 2.0, 0.0, 50.0), Fixation(*numbers)])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
+    def test_pgm_writer_refuses_values_outside_unit_range(self, tmp_path, bad):
+        values = np.full((3, 4), 0.5)
+        values[1, 2] = bad
+        path = tmp_path / "map.pgm"
+        with pytest.raises(ValueError, match=r"map\.pgm: values must lie in \[0, 1\]"):
+            gz.write_pgm(str(path), values)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_float_map_writer_refuses_non_finite(self, tmp_path, bad):
+        values = np.full((3, 4), 0.5)
+        values[1, 2] = bad
+        path = tmp_path / "map.gfm"
+        with pytest.raises(ValueError, match=rf"map\.gfm: non-finite value {bad!r} at flat index 6"):
+            gz.write_float_map(str(path), values)
         assert not path.exists()
 
     def test_pgm_round_trip_quantized(self, tmp_path):
@@ -383,10 +441,11 @@ def write_text(tmp_path, text, name="gaze.csv"):
 
 
 def csv_module_reader(path):
-    """The reader as it was with csv.reader, plus the finite-number rule."""
+    """The reader as it was with csv.reader, plus the finite-number rule,
+    collecting (t, x, y, pupil or None, valid) rows into columns."""
     import csv
 
-    samples = []
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -412,22 +471,19 @@ def csv_module_reader(path):
             if t <= prev_t:
                 raise ValueError(f"{path}:{lineno}: timestamps not strictly increasing")
             prev_t = t
-            samples.append(GazeSample(t, x, y, pupil, valid))
-    return samples
+            rows.append((t, x, y, pupil, valid))
+    return stream_of(rows)
 
 
-def sample_bits(samples):
-    """Bitwise identity of a sample list; NaN fields compare equal to themselves."""
-    return [
-        (struct.pack("<3d", s.t_ms, s.x_px, s.y_px),
-         None if s.pupil_mm is None else struct.pack("<d", s.pupil_mm), s.valid)
-        for s in samples
-    ]
+def stream_bits(stream):
+    """Bitwise identity of a stream: the dtype and bytes of each column."""
+    return [(column.dtype.str, column.tobytes()) for column in (
+        stream.t_ms, stream.x_px, stream.y_px, stream.pupil_mm, stream.valid)]
 
 
 def read_outcome(reader, path):
     try:
-        return "ok", sample_bits(reader(path))
+        return "ok", stream_bits(reader(path))
     except ValueError as exc:
         return "error", str(exc)
 
@@ -458,6 +514,58 @@ def gaze_csv_texts(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+@functools.cache
+def multi_block_lines(n=5000):
+    """Body lines of a recording long enough for several reader blocks:
+    17-digit coordinates and pupils, some empty pupils, some invalid samples."""
+    rng = np.random.default_rng(16)
+    xs, ys, pupils = (rng.uniform(lo, hi, n).tolist() for lo, hi in ((0, 512), (0, 512), (2.5, 4.5)))
+    return tuple(f"{k * 4.0!r},{xs[k]!r},{ys[k]!r},{'' if k % 7 == 3 else repr(pupils[k])},"
+                 f"{int(k % 11 != 5)}" for k in range(n))
+
+
+def block_starts(text):
+    """Body indices of the first line of each reader block after the first."""
+    starts, seen = [], 0
+    with io.StringIO(text, newline="") as fh:
+        fh.readline()
+        while lines := fh.readlines(gz._BLOCK_HINT):
+            seen += len(lines)
+            starts.append(seen)
+    return starts[:-1]
+
+
+def _set_field(k, word):
+    def fault(lines, i):
+        row = lines[i].split(",")
+        row[k] = word
+        lines[i] = ",".join(row)
+    return fault
+
+
+def _shift_field(lines, i):
+    """Move line i's last field to the front of line i + 1: 4 then 6 fields,
+    with the block's total field count unchanged."""
+    head, valid = lines[i].rsplit(",", 1)
+    lines[i], lines[i + 1] = head, f"{valid},{lines[i + 1]}"
+
+
+BLOCK_FAULTS = {
+    "bad_float": _set_field(1, "12.5.1"),
+    "valid_2": _set_field(4, "2"),
+    "four_fields": lambda lines, i: lines.__setitem__(i, lines[i].rsplit(",", 1)[0]),
+    "six_fields": lambda lines, i: lines.__setitem__(i, lines[i] + ",1"),
+    "blank_line": lambda lines, i: lines.__setitem__(i, ""),
+    "nan_t": _set_field(0, "nan"),
+    "inf_y": _set_field(2, "inf"),
+    "nan_pupil": _set_field(3, "nan"),
+    "negative_t": _set_field(0, "-4.0"),
+    "t_drop": lambda lines, i: _set_field(0, repr(float(lines[i - 1].split(",")[0]) - 1.0))(
+        lines, i),
+    "shifted_field": _shift_field,
+}
+
+
 class TestGazeCsvReader:
     @pytest.mark.parametrize("body, lineno, message", [
         ("0.0,1,2,,1\n10.0,1,2,3\n", 3, "expected 5 fields, got 4"),
@@ -483,13 +591,13 @@ class TestGazeCsvReader:
             gz.read_gaze_csv(path)
 
     def test_header_only_reads_empty(self, tmp_path):
-        assert gz.read_gaze_csv(write_text(tmp_path, GAZE_HEADER_LINE)) == []
+        assert len(gz.read_gaze_csv(write_text(tmp_path, GAZE_HEADER_LINE))) == 0
 
     def test_crlf_reads_equal_to_lf(self, tmp_path):
         text = GAZE_HEADER_LINE + "0.0,1.5,2.5,3.25,1\n10.0,-4.0,7.0,,0\n"
         lf = gz.read_gaze_csv(write_text(tmp_path, text, "lf.csv"))
         crlf = gz.read_gaze_csv(write_text(tmp_path, text.replace("\n", "\r\n"), "crlf.csv"))
-        assert crlf == lf
+        assert_same_stream(crlf, lf)
         assert len(lf) == 2
 
     @given(st.lists(st.tuples(
@@ -498,11 +606,12 @@ class TestGazeCsvReader:
     ), max_size=20), st.sets(st.floats(0, 1e12), max_size=20))
     @settings(max_examples=60, deadline=None)
     def test_write_read_round_trip(self, tmp_path_factory, rows, times):
-        stream = [GazeSample(t, x, y, p, v) for t, (x, y, p, v) in zip(sorted(times), rows)]
+        samples = [(t, *row) for t, row in zip(sorted(times), rows)]
+        stream = stream_of(samples)
         path = tmp_path_factory.mktemp("rt") / "gaze.csv"
-        if all(math.isfinite(v) for s in stream for v in (s.x_px, s.y_px, s.pupil_mm or 0.0)):
+        if all(math.isfinite(v) for _, x, y, p, _ in samples for v in (x, y, p or 0.0)):
             gz.write_gaze_csv(str(path), stream)
-            assert gz.read_gaze_csv(str(path)) == stream
+            assert_same_stream(gz.read_gaze_csv(str(path)), stream)
         else:
             with pytest.raises(ValueError, match=r"gaze\.csv:\d+: non-finite"):
                 gz.write_gaze_csv(str(path), stream)
@@ -523,6 +632,47 @@ class TestGazeCsvReader:
         name = gz.GAZE_CSV_HEADER[field]
         with pytest.raises(ValueError, match=rf"gaze\.csv:3: non-finite {name} '{word}'"):
             gz.read_gaze_csv(path)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("boundary", [0, 1])
+    @pytest.mark.parametrize("fault", [None, *BLOCK_FAULTS])
+    def test_block_boundary_fault(self, tmp_path, fault, boundary, offset, end):
+        """One fault next to a block boundary raises the per-line reference's
+        message; without one the columns are bitwise the reference's."""
+        lines = list(multi_block_lines())
+        starts = block_starts(GAZE_HEADER_LINE.replace("\n", end) + end.join(lines) + end)
+        assert len(starts) >= 2
+        i = starts[boundary] + offset
+        if fault is not None:
+            BLOCK_FAULTS[fault](lines, i)
+        path = write_text(tmp_path, GAZE_HEADER_LINE.replace("\n", end) + end.join(lines) + end)
+        expected = read_outcome(csv_module_reader, path)
+        assert read_outcome(gz.read_gaze_csv, path) == expected
+        if fault is None:
+            assert expected[0] == "ok" and len(expected[1][0][1]) == 8 * len(lines)
+        else:
+            assert expected[0] == "error" and f"gaze.csv:{i + 2}: " in expected[1]
+
+    def test_memory_peak_near_the_columns(self, tmp_path):
+        """A 60k-sample read peaks below 3x the bytes of the columns it returns;
+        parsing the whole file at once peaks near 18x."""
+        rng = np.random.default_rng(7)
+        n = 60_000
+        pupil = rng.uniform(2.5, 4.5, n)
+        pupil[::9] = math.nan
+        path = str(tmp_path / "gaze.csv")
+        gz.write_gaze_csv(path, GazeStream(np.arange(n) * 1.0, rng.uniform(0, 512, n),
+                                           rng.uniform(0, 512, n), pupil, rng.random(n) > 0.05))
+        tracemalloc.start()
+        try:
+            stream = gz.read_gaze_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = (stream.t_ms, stream.x_px, stream.y_px, stream.pupil_mm, stream.valid)
+        assert len(stream) == n
+        assert peak < 3 * sum(c.nbytes for c in columns)
 
 
 FIXATION_HEADER_LINE = "cx_px,cy_px,start_ms,end_ms\n"
@@ -572,31 +722,33 @@ class TestFixationCsvReader:
 
 
 def idt_builtin_minmax(samples, dispersion_px, min_duration_ms):
-    """The I-DT loop written with builtin min()/max() and generator means."""
+    """The I-DT loop written with builtin min()/max() and generator means,
+    over one Python float per sample read from the columns."""
+    ts = [float(t) for t in samples.t_ms]
+    xs = [float(x) for x in samples.x_px]
+    ys = [float(y) for y in samples.y_px]
     fixations = []
-    n = len(samples)
+    n = len(ts)
     i = 0
     while i < n:
-        min_x = max_x = samples[i].x_px
-        min_y = max_y = samples[i].y_px
+        min_x = max_x = xs[i]
+        min_y = max_y = ys[i]
         j = i
         while j + 1 < n:
-            s = samples[j + 1]
-            nmin_x, nmax_x = min(min_x, s.x_px), max(max_x, s.x_px)
-            nmin_y, nmax_y = min(min_y, s.y_px), max(max_y, s.y_px)
+            nmin_x, nmax_x = min(min_x, xs[j + 1]), max(max_x, xs[j + 1])
+            nmin_y, nmax_y = min(min_y, ys[j + 1]), max(max_y, ys[j + 1])
             if (nmax_x - nmin_x) + (nmax_y - nmin_y) > dispersion_px:
                 break
             min_x, max_x, min_y, max_y = nmin_x, nmax_x, nmin_y, nmax_y
             j += 1
-        window = samples[i : j + 1]
-        duration = window[-1].t_ms - window[0].t_ms
-        if duration >= min_duration_ms:
+        k = j + 1 - i
+        if ts[j] - ts[i] >= min_duration_ms:
             fixations.append(Fixation(
-                cx_px=sum(s.x_px for s in window) / len(window),
-                cy_px=sum(s.y_px for s in window) / len(window),
-                start_ms=window[0].t_ms,
-                end_ms=window[-1].t_ms,
-                n_samples=len(window),
+                cx_px=sum(x for x in xs[i : j + 1]) / k,
+                cy_px=sum(y for y in ys[i : j + 1]) / k,
+                start_ms=ts[i],
+                end_ms=ts[j],
+                n_samples=k,
             ))
         i = j + 1
     return fixations
@@ -625,11 +777,11 @@ def idt_streams(draw):
     steps = draw(st.lists(st.sampled_from([1.0, 2.5, 10.0]), min_size=len(points),
                           max_size=len(points)))
     t = 0.0
-    stream = []
-    for (x, y), dt in zip(points, steps):
-        stream.append(GazeSample(t, x, y))
+    times = []
+    for dt in steps:
+        times.append(t)
         t += dt
-    return stream
+    return GazeStream(times, [x for x, _ in points], [y for _, y in points])
 
 
 class TestIdtBitwise:
@@ -640,7 +792,7 @@ class TestIdtBitwise:
         got = gz.detect_fixations(stream, dispersion, min_duration)
         assert fixation_bits(got) == fixation_bits(
             idt_builtin_minmax(stream, dispersion, min_duration))
-        if not any(math.isnan(s.x_px) or math.isnan(s.y_px) for s in stream):
+        if not (np.isnan(stream.x_px).any() or np.isnan(stream.y_px).any()):
             assert got == idt_builtin_minmax(stream, dispersion, min_duration)
 
     def test_span_exactly_on_threshold_stays_in_window(self):
@@ -648,6 +800,12 @@ class TestIdtBitwise:
         fixes = gz.detect_fixations(stream, 5.0, 20.0)
         assert [f.n_samples for f in fixes] == [3]
         assert fixation_bits(fixes) == fixation_bits(idt_builtin_minmax(stream, 5.0, 20.0))
+
+    def test_nan_timestamp_passes_the_order_check(self):
+        """As sample by sample: a NaN timestamp compares false both ways."""
+        stream = GazeStream([0.0, math.nan, 5.0, 20.0, 30.0], [1.0] * 5, [1.0] * 5)
+        fixes = gz.detect_fixations(stream, 5.0, 10.0)
+        assert fixation_bits(fixes) == fixation_bits(idt_builtin_minmax(stream, 5.0, 10.0))
 
     def test_nan_coordinates_from_csv(self, tmp_path):
         rows = "".join(f"{i * 10.0},{x},{y},,1\n" for i, (x, y) in enumerate(

@@ -130,6 +130,7 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             tr.run_comparison([("arm", tiny_model_cfg())], tiny_readings[:3], [], [],
                               TrainConfig(epochs=1), str(tmp_path / "cmp"))
+        assert not (tmp_path / "cmp").exists()  # refused before the first arm trains
 
     def test_annotation_free_dataset_flagged(self, tmp_path):
         readings = ds.synth_generate(

@@ -18,7 +18,6 @@ truth. Everything is deterministic per seed.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import gaze as gz
-from .fileio import atomic_write_text, json_check, json_field, read_json
+from .fileio import json_check, json_field, read_json, write_json
 
 
 class ClassLabel(IntEnum):
@@ -192,7 +191,7 @@ def save_reading(root: str, reading: Reading) -> str:
         {"cx": a.cx, "cy": a.cy, "rx": a.rx, "ry": a.ry, "label": CLASS_NAMES[a.label]}
         for a in reading.annotations
     ]
-    atomic_write_text(os.path.join(rdir, "annotations.json"), json.dumps(ann, indent=1) + "\n")
+    write_json(os.path.join(rdir, "annotations.json"), ann, indent=1)
     gz.write_gaze_csv(os.path.join(rdir, "gaze.csv"), reading.gaze)
     if reading.fixations is not None:
         gz.write_fixation_csv(os.path.join(rdir, "fixations.csv"), reading.fixations)
@@ -209,9 +208,7 @@ def save_dataset(root: str, readings: list[Reading], splits: dict[str, str] | No
             {"id": r.id, "split": (splits or {}).get(r.id, "train")} for r in readings
         ]
     }
-    atomic_write_text(
-        os.path.join(root, "manifest.json"), json.dumps(manifest, indent=1) + "\n"
-    )
+    write_json(os.path.join(root, "manifest.json"), manifest, indent=1)
 
 
 def load_dataset(root: str, split: str | None = None) -> list[Reading]:

@@ -21,7 +21,7 @@ on the ground-truth class channel only.
 from __future__ import annotations
 
 import base64
-import json
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from typing import ClassVar
@@ -32,8 +32,8 @@ from . import autodiff as ad
 from . import boxes as bx
 from .autodiff import LayerParams, Tensor
 from .dataset import ClassLabel, CLASS_NAMES, TargetBox, label_from_json
-from .fileio import (atomic_write_bytes, atomic_write_text, json_check, json_field,
-                     json_known_keys, read_json)
+from .fileio import (atomic_write_bytes, json_check, json_field, json_known_keys, json_text,
+                     read_json, refuse_non_finite, write_json)
 from .gaze import FixationMap
 
 CHECKPOINT_FORMAT = "gazedet-checkpoint-v3"
@@ -74,6 +74,11 @@ class ModelConfig:
     def __post_init__(self):
         if not self.anchor_scales:
             raise ValueError("anchor scales must be non-empty")
+        for i, scale in enumerate(self.anchor_scales):
+            if not 0 < scale < math.inf:
+                raise ValueError(f"anchor_scales[{i}] must be finite and positive, got {scale!r}")
+        if not 0 <= self.score_thresh <= 1:
+            raise ValueError(f"score_thresh must lie in [0, 1], got {self.score_thresh!r}")
         if self.fusion_mode not in ("sum", "mul"):
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
         if self.fusion_point not in ("input", "feature"):
@@ -466,21 +471,13 @@ def train_loss(model: DetectorModel, image, fmap, targets: list[TargetBox],
 # checkpoints and prediction files
 
 
-def _refuse_non_finite(arr: np.ndarray, where: str) -> None:
-    """Raise ValueError, prefixed with ``where``, naming the first non-finite value."""
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise ValueError(f"{where}: non-finite value {float(arr.flat[bad[0]])!r} "
-                         f"at flat index {bad[0]}")
-
-
 def _encode_array(a: np.ndarray, where: str) -> dict:
     """An array as its shape and its little-endian float64 bytes in base64.
 
     A non-finite value, which ``_decode_array`` would refuse, raises
     ValueError prefixed with ``where``.
     """
-    _refuse_non_finite(a, where)
+    refuse_non_finite(a, where)
     raw = a.astype("<f8", copy=False).tobytes()
     return {"shape": list(a.shape), "f64_base64": base64.b64encode(raw).decode("ascii")}
 
@@ -507,7 +504,7 @@ def _decode_array(entry, shape: tuple, where: str) -> np.ndarray:
         raise ValueError(f"{where}: {len(raw)} bytes of float64 data, shape {list(shape)} "
                          f"needs {want}")
     arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    _refuse_non_finite(arr, where)
+    refuse_non_finite(arr, where)
     return arr
 
 
@@ -517,7 +514,7 @@ _BODY_PLACEHOLDER = re.compile(r'(?<="f64_base64": ")@(\d+)(?=")')
 def save_checkpoint(path: str, model: DetectorModel) -> None:
     """Write ``model`` as a ``CHECKPOINT_FORMAT`` JSON file (see README).
 
-    The file text is ``json.dumps(payload, sort_keys=True)`` and a newline.
+    The file text is ``json_text(path, payload, sort_keys=True)``.
     A non-finite weight raises ValueError naming the file, the layer, the
     field and the flat index, as ``load_checkpoint`` would, and nothing is
     written.
@@ -543,8 +540,8 @@ def save_checkpoint(path: str, model: DetectorModel) -> None:
         },
     }
     # base64 text needs no JSON escapes, so each body is written as its own
-    # chunk in place of its "@k" placeholder rather than scanned by json.dumps
-    parts = _BODY_PLACEHOLDER.split(json.dumps(payload, sort_keys=True) + "\n")
+    # chunk in place of its "@k" placeholder rather than scanned by the encoder
+    parts = _BODY_PLACEHOLDER.split(json_text(path, payload, sort_keys=True))
     atomic_write_bytes(path, *(bodies[int(part)] if k % 2 else part.encode()
                                for k, part in enumerate(parts)))
 
@@ -642,4 +639,4 @@ def load_predictions(path: str) -> dict[str, list[Detection]]:
 
 
 def save_predictions(path: str, dets_by_reading: dict[str, list[Detection]]) -> None:
-    atomic_write_text(path, json.dumps(predictions_to_json(dets_by_reading)) + "\n")
+    write_json(path, predictions_to_json(dets_by_reading))

@@ -1,9 +1,10 @@
-"""File I/O shared by every module: atomic writes and strict JSON reads.
+"""File I/O shared by every module: atomic writes and strict JSON.
 
 Each payload goes to `<path>.tmp` and is renamed over `path`, so a reader
 never sees a half-written file. A payload may come in several chunks (say a
 header and an array body), written in turn so none is copied into a joined
-bytes object. Every JSON input goes through `read_json` and `json_check`.
+bytes object. Every JSON input goes through `read_json` and `json_check`;
+every JSON output is `json_text`, strict RFC 8259 with no NaN or infinity.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import json
 import os
 import sys
+
+import numpy as np
 
 # the JSON kind each Python type stands for; booleans are not numbers
 _KIND_NAMES = {dict: "an object", list: "a list", str: "a string",
@@ -34,6 +37,28 @@ def atomic_copy(src: str, dst: str) -> None:
 
 def atomic_write_text(path: str, payload: str) -> None:
     atomic_write_bytes(path, payload.encode())
+
+
+def refuse_non_finite(arr: np.ndarray, where: str) -> None:
+    """Raise ValueError, prefixed with `where`, naming the first non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"{where}: non-finite value {float(arr.flat[bad[0]])!r} "
+                         f"at flat index {bad[0]}")
+
+
+def json_text(path: str, obj, indent=None, sort_keys: bool = False) -> str:
+    """`obj` as strict JSON text and a newline; a NaN or an infinity raises
+    ValueError starting with `path`, the file the text is for."""
+    try:
+        return json.dumps(obj, indent=indent, sort_keys=sort_keys, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_json(path: str, obj, indent=None, sort_keys: bool = False) -> None:
+    """Write `json_text(path, obj, indent, sort_keys)` to `path`, atomically."""
+    atomic_write_text(path, json_text(path, obj, indent, sort_keys))
 
 
 def read_json(path: str):

@@ -23,7 +23,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .fileio import atomic_write_bytes, atomic_write_text
+from .fileio import atomic_write_bytes, atomic_write_text, refuse_non_finite
 
 DEFAULT_DISPERSION_PX = 25.0  # at 512-px image width
 DEFAULT_MIN_DURATION_MS = 100.0
@@ -422,10 +422,7 @@ def read_pgm(path: str) -> np.ndarray:
 def write_float_map(path: str, values: np.ndarray) -> None:
     """Raw float64 sidecar for exact heatmap round-trips."""
     v = np.ascontiguousarray(values, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(v))
-    if len(bad):
-        raise ValueError(f"{path}: non-finite value {float(v.flat[bad[0]])!r} "
-                         f"at flat index {bad[0]}")
+    refuse_non_finite(v, path)
     h, w = v.shape
     atomic_write_bytes(path, f"GFMAP {w} {h}\n".encode(), v)
 

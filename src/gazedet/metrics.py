@@ -14,23 +14,29 @@ averages and flagged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import boxes as bx
 from .dataset import ClassLabel, REPORT_CLASS_TITLES
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, write_json
 
 AP_HEADER_TEMPLATE = "AP@[{kind}={thresh:.2f}]"
 AR_HEADER_TEMPLATE = "AR@[{kind}={thresh:.2f}]"
 
 
+def check_overlap_rule(thresh: float, kind: str) -> None:
+    """Raise ValueError unless ``kind`` is iobb or iou and ``thresh`` lies in [0, 1]."""
+    if kind not in ("iobb", "iou"):
+        raise ValueError(f"kind must be 'iobb' or 'iou', got {kind!r}")
+    if not 0 <= thresh <= 1:
+        raise ValueError(f"thresh must lie in [0, 1], got {thresh!r}")
+
+
 def overlap_matrix(preds, gts, kind: str) -> np.ndarray:
     """Pairwise overlap of predicted boxes (rows) with ground-truth boxes (columns)."""
-    if kind not in ("iobb", "iou"):
-        raise ValueError(f"unknown overlap kind {kind!r}")
+    check_overlap_rule(0, kind)  # threshold 0 always passes: checks kind only
     preds = np.asarray(preds, dtype=np.float64).reshape(-1, 4)
     inter, pred_area, gt_area = bx.pairwise_overlap(preds, gts)
     if kind == "iobb":
@@ -262,6 +268,7 @@ def evaluate_detections(dets_by_class: dict[ClassLabel, list],
                         max_dets: int = 100,
                         metadata: dict | None = None) -> MetricsReport:
     """Per-class AP/AR report from class-partitioned detections and targets."""
+    check_overlap_rule(thresh, kind)
     rows = []
     for c in ClassLabel:
         dets = dets_by_class.get(c, [])
@@ -275,5 +282,5 @@ def evaluate_detections(dets_by_class: dict[ClassLabel, list],
 
 
 def save_report(path_json: str, path_md: str, report: MetricsReport) -> None:
-    atomic_write_text(path_json, json.dumps(report.to_dict(), sort_keys=True, indent=1) + "\n")
+    write_json(path_json, report.to_dict(), indent=1, sort_keys=True)
     atomic_write_text(path_md, report.to_markdown())

@@ -8,7 +8,7 @@ artifact is byte-identical across runs.
 
 from __future__ import annotations
 
-import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -26,7 +26,7 @@ from .detector import (
     save_predictions,
     train_loss,
 )
-from .fileio import atomic_copy, atomic_write_text
+from .fileio import atomic_copy, atomic_write_text, write_json
 
 
 @dataclass
@@ -40,8 +40,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not self.log_every >= 1:
+            raise ValueError(f"log_every must be >= 1, got {self.log_every!r}")
 
 
 def fixation_map_for(reading: Reading, img_size: int) -> gz.FixationMap:
@@ -144,6 +148,7 @@ def evaluate(model: DetectorModel, readings: list[Reading], out_dir: str,
              thresh: float = 0.5, kind: str = "iobb",
              model_tag: str = "model") -> mx.MetricsReport:
     """Inference over ``readings``; writes predictions.json and the report to ``out_dir``."""
+    mx.check_overlap_rule(thresh, kind)
     if not readings:
         raise ValueError("cannot evaluate on an empty reading list")
     dets_by_reading = infer_dataset(model, readings)
@@ -188,6 +193,7 @@ def run_comparison(model_cfg_pairs: list[tuple[str, ModelConfig]],
 
     Emits per-arm artifacts plus a side-by-side comparison table.
     """
+    mx.check_overlap_rule(thresh, kind)
     if not test_readings:
         raise ValueError("cannot evaluate on an empty reading list")
     reports: dict[str, mx.MetricsReport] = {}
@@ -197,11 +203,8 @@ def run_comparison(model_cfg_pairs: list[tuple[str, ModelConfig]],
         reports[tag] = evaluate(model, test_readings, arm_dir, thresh, kind, model_tag=tag)
     atomic_write_text(os.path.join(out_dir, "comparison.md"),
                       comparison_markdown(reports))
-    atomic_write_text(
-        os.path.join(out_dir, "comparison.json"),
-        json.dumps({tag: r.to_dict() for tag, r in reports.items()},
-                   sort_keys=True, indent=1) + "\n",
-    )
+    write_json(os.path.join(out_dir, "comparison.json"),
+               {tag: r.to_dict() for tag, r in reports.items()}, indent=1, sort_keys=True)
     return reports
 
 

@@ -282,6 +282,26 @@ class TestInputChecks:
         assert code == 1 and "--val-frac 0.3" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["train", "--momentum", "5"], "momentum must lie in [0, 1), got 5.0"),
+        (["train", "--lr", "nan"], "lr must be finite and positive, got nan"),
+        (["eval", "--thresh", "nan"], "thresh must lie in [0, 1], got nan"),
+        (["eval", "--thresh", "2"], "thresh must lie in [0, 1], got 2.0"),
+        (["report", "--thresh", "-1"], "thresh must lie in [0, 1], got -1.0"),
+        (["compare", "--thresh", "nan", "--epochs", "1"], "thresh must lie in [0, 1], got nan"),
+    ], ids=["train_momentum_5", "train_lr_nan", "eval_thresh_nan", "eval_thresh_2",
+            "report_thresh_negative", "compare_thresh_nan"])
+    def test_bad_number_flag_exits_1(self, capsys, tmp_path, dataset, argv, needle):
+        sources = {"eval": ["--checkpoint", str(tmp_path / "ckpt.json")],
+                   "report": ["--predictions", str(tmp_path / "predictions.json")]}
+        save_checkpoint(str(tmp_path / "ckpt.json"), DetectorModel(ModelConfig(img_size=32)))
+        (tmp_path / "predictions.json").write_text("[]\n")
+        out = tmp_path / "out"
+        code, _, stderr = run(capsys, argv[0], "--dataset", dataset, "--out", str(out),
+                              *sources.get(argv[0], []), *argv[1:])
+        assert code == 1 and needle in stderr
+        assert not out.exists()  # for compare: no arm directory either
+
     @pytest.mark.parametrize("size", [["--width", "512"], ["--height", "512"],
                                       ["--width", "-5", "--height", "5"]],
                              ids=["width_only", "height_only", "negative_width"])

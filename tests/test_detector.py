@@ -330,6 +330,21 @@ def finite_f64():
     return st.one_of(st.sampled_from(edges), bits.filter(np.isfinite))
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("kw, needle", [
+        ({"score_thresh": float("nan")}, r"score_thresh must lie in \[0, 1\], got nan"),
+        ({"score_thresh": 1.5}, r"score_thresh must lie in \[0, 1\], got 1.5"),
+        ({"anchor_scales": (float("inf"),)},
+         r"anchor_scales\[0\] must be finite and positive, got inf"),
+        ({"anchor_scales": (8.0, -4.0)},
+         r"anchor_scales\[1\] must be finite and positive, got -4.0"),
+        ({"anchor_scales": (0.0,)}, r"anchor_scales\[0\] must be finite and positive, got 0.0"),
+    ], ids=["score_nan", "score_1_5", "scale_inf", "scale_negative", "scale_zero"])
+    def test_rejects_bad_number(self, kw, needle):
+        with pytest.raises(ValueError, match=needle):
+            ModelConfig(**kw)
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         cfg = small_config(use_fixations=True, fusion_point="feature", seed=5)
@@ -441,6 +456,15 @@ class TestCheckpoint:
                                              "at flat index 0") as info:
             dt.save_checkpoint(str(path), model)
         assert str(path) in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_refuses_non_finite_config(self, tmp_path):
+        model = DetectorModel(ModelConfig())
+        model.config.score_thresh = np.nan  # set after the config's own checks
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(ValueError) as info:
+            dt.save_checkpoint(str(path), model)
+        assert str(info.value).startswith(f"{path}: ")
         assert list(tmp_path.iterdir()) == []
 
     def test_save_refuses_non_finite_last_array(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gazedet import fileio
 from gazedet import metrics as mt
 from gazedet.dataset import ClassLabel
 
@@ -251,6 +252,30 @@ class TestReport:
         rows = rows_from(FROZEN_APS, FROZEN_ARS)
         report = mt.build_report(list(reversed(rows)))
         assert [r.label for r in report.rows] == list(ClassLabel)
+
+    @pytest.mark.parametrize("thresh, kind, needle", [
+        (float("nan"), "iobb", r"thresh must lie in \[0, 1\], got nan"),
+        (2, "iobb", r"thresh must lie in \[0, 1\], got 2"),
+        (-1.0, "iou", r"thresh must lie in \[0, 1\], got -1.0"),
+        (float("inf"), "iobb", r"thresh must lie in \[0, 1\], got inf"),
+        (0.5, "bogus", "kind must be 'iobb' or 'iou', got 'bogus'"),
+    ], ids=["thresh_nan", "thresh_2", "thresh_negative", "thresh_inf", "kind_bogus"])
+    def test_evaluate_rejects_bad_rule(self, thresh, kind, needle):
+        with pytest.raises(ValueError, match=needle):
+            mt.evaluate_detections({}, {}, thresh, kind)
+
+    @pytest.mark.parametrize("save", [
+        lambda pj, pm, report: mt.save_report(pj, pm, report),
+        lambda pj, pm, report: fileio.write_json(pj, report.to_dict(), indent=1),
+    ], ids=["save_report", "write_json"])
+    def test_nan_refused_and_nothing_written(self, tmp_path, save):
+        rows = rows_from(FROZEN_APS, FROZEN_ARS)
+        rows[1].ap = float("nan")
+        pj, pm = tmp_path / "report.json", tmp_path / "report.md"
+        with pytest.raises(ValueError) as info:
+            save(str(pj), str(pm), mt.build_report(rows))
+        assert str(info.value).startswith(f"{pj}: ")
+        assert list(tmp_path.iterdir()) == []  # no report.json, no report.json.tmp
 
     def test_evaluate_and_save(self, tmp_path):
         c0 = list(ClassLabel)[0]

@@ -7,7 +7,7 @@ from gazedet import dataset as ds
 from gazedet import trainer as tr
 from gazedet.autodiff import NumericsError
 from gazedet.dataset import SynthConfig
-from gazedet.detector import ModelConfig, load_checkpoint, save_checkpoint
+from gazedet.detector import DetectorModel, ModelConfig, load_checkpoint, save_checkpoint
 from gazedet.trainer import TrainConfig
 
 
@@ -34,6 +34,20 @@ class TestTrainConfig:
     def test_bad_lr(self):
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=-0.1)
+
+    @pytest.mark.parametrize("kw, needle", [
+        ({"lr": float("nan")}, "lr must be finite and positive, got nan"),
+        ({"lr": float("inf")}, "lr must be finite and positive, got inf"),
+        ({"momentum": 5.0}, r"momentum must lie in \[0, 1\), got 5.0"),
+        ({"momentum": -1.0}, r"momentum must lie in \[0, 1\), got -1.0"),
+        ({"momentum": 1.0}, r"momentum must lie in \[0, 1\), got 1.0"),
+        ({"momentum": float("nan")}, r"momentum must lie in \[0, 1\), got nan"),
+        ({"log_every": 0}, "log_every must be >= 1, got 0"),
+    ], ids=["lr_nan", "lr_inf", "momentum_5", "momentum_negative", "momentum_1",
+            "momentum_nan", "log_every_0"])
+    def test_rejects_bad_number(self, kw, needle):
+        with pytest.raises(ValueError, match=needle):
+            TrainConfig(**kw)
 
 
 class TestLossCurve:
@@ -130,6 +144,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             tr.run_comparison([("arm", tiny_model_cfg())], tiny_readings[:3], [], [],
                               TrainConfig(epochs=1), str(tmp_path / "cmp"))
+        assert not (tmp_path / "cmp").exists()  # refused before the first arm trains
+
+    @pytest.mark.parametrize("thresh, kind, needle", [
+        (float("nan"), "iobb", r"thresh must lie in \[0, 1\], got nan"),
+        (2.0, "iobb", r"thresh must lie in \[0, 1\], got 2.0"),
+        (0.5, "dice", "kind must be 'iobb' or 'iou', got 'dice'"),
+    ], ids=["thresh_nan", "thresh_2", "kind_dice"])
+    def test_bad_overlap_rule_rejected_up_front(self, tiny_readings, tmp_path,
+                                                thresh, kind, needle):
+        with pytest.raises(ValueError, match=needle):
+            tr.evaluate(DetectorModel(tiny_model_cfg()), tiny_readings[5:],
+                        str(tmp_path / "eval"), thresh, kind)
+        assert not (tmp_path / "eval").exists()
+        with pytest.raises(ValueError, match=needle):
+            tr.run_comparison([("arm", tiny_model_cfg())], tiny_readings[:3], [],
+                              tiny_readings[5:], TrainConfig(epochs=1),
+                              str(tmp_path / "cmp"), thresh, kind)
         assert not (tmp_path / "cmp").exists()  # refused before the first arm trains
 
     def test_annotation_free_dataset_flagged(self, tmp_path):

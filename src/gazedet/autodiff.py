@@ -58,7 +58,7 @@ class ShapeError(ValueError):
 
 
 def _check_finite(arr: np.ndarray, ctx: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values in {ctx}")
     return arr
 
@@ -73,9 +73,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_vel")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
-        _check_finite(arr, "tensor constructor")
-        self.data = arr
+        self.data = _check_finite(np.ascontiguousarray(data, dtype=np.float64),
+                                  "tensor constructor")
         self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple = ()
@@ -94,9 +93,11 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        # the first g is stored as 0.0 + g: bitwise a zeroed buffer plus g
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -117,9 +118,7 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if p.tracked:
-                    stack.append((p, False))
+            stack.extend((p, False) for p in node._parents)
         self.accumulate_grad(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
@@ -152,18 +151,25 @@ def no_grad():
         _grad_enabled = prev
 
 
-def _node(data: np.ndarray, parents: tuple, backward, ctx: str) -> Tensor:
+def _node(data: np.ndarray, vjps: tuple, ctx: str) -> Tensor:
+    """An op's output. ``vjps`` pairs each input with its vector-Jacobian
+    product, the map from the output's gradient to that input's gradient.
+    Only pairs whose input is tracked when the op runs (not when backward
+    runs) are kept, and none under no_grad(); their inputs become
+    ``_parents`` and ``_backward`` runs ``p.accumulate_grad(fn(g))`` for each
+    kept pair in order, or is None when none is kept."""
     out = Tensor.__new__(Tensor)
     out.data = _check_finite(np.ascontiguousarray(data, dtype=np.float64), ctx)
-    out.grad = None
+    out.grad = out._vel = None
     out.requires_grad = False
-    out._vel = None
-    if _grad_enabled and any(p.tracked for p in parents):
-        out._parents = parents
+    kept = [(p, fn) for p, fn in vjps if p.tracked] if _grad_enabled else []
+    out._parents = tuple(p for p, _ in kept)
+    out._backward = None
+    if kept:
+        def backward(g):
+            for p, fn in kept:
+                p.accumulate_grad(fn(g))
         out._backward = backward
-    else:
-        out._parents = ()
-        out._backward = None
     return out
 
 
@@ -238,39 +244,36 @@ def conv2d(x: Tensor, params: LayerParams, stride: int = 1, pad: int = 0) -> Ten
         xp[:, :, pad : pad + h, pad : pad + wid] = x.data
     else:
         xp = x.data
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (n, c, ho, wo, kh, kw)
     k, nl = c * kh * kw, n * ho * wo
-    cols = win.transpose(1, 4, 5, 0, 2, 3).reshape(k, nl)  # rows (c, i, j), columns (n, y, x)
+    sn, sc, sh, sw = xp.strides
+    # rows (c, i, j), columns (n, y, x): one strided view, copied once by the reshape
+    cols = np.lib.stride_tricks.as_strided(
+        xp, (c, kh, kw, n, ho, wo), (sc, sh, sw, sn, sh * stride, sw * stride),
+        writeable=False).reshape(k, nl)
     wmat = w.data.reshape(f, k)
-    y = wmat @ cols + b.data[:, None]  # (f, n*ho*wo)
-    out_data = y.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
+    y = wmat @ cols  # (f, n*ho*wo)
+    y += b.data[:, None]
 
-    def backward(g):
-        g_t = g.transpose(1, 0, 2, 3).reshape(f, nl)
-        if w.tracked:
-            w.accumulate_grad((g_t @ cols.T).reshape(w.data.shape))
-        if b.tracked:
-            b.accumulate_grad(g.sum(axis=(0, 2, 3)))
-        if x.tracked:
-            dcols = (wmat.T @ g_t).reshape(c, kh, kw, n, ho, wo)
-            dxp = np.zeros((c, n, h + 2 * pad, wid + 2 * pad))
-            for i, j, tap in _taps(kh, kw, stride, ho, wo):
-                dxp[tap] += dcols[:, i, j]
-            dx = dxp.transpose(1, 0, 2, 3)
-            x.accumulate_grad(dx[:, :, pad : pad + h, pad : pad + wid] if pad else dx)
+    def g_mat(g):
+        return g.transpose(1, 0, 2, 3).reshape(f, nl)
 
-    return _node(out_data, (x, w, b), backward, "conv2d output")
+    def dx(g):
+        dcols = (wmat.T @ g_mat(g)).reshape(c, kh, kw, n, ho, wo)
+        dxp = np.zeros((c, n, h + 2 * pad, wid + 2 * pad))
+        for i, j, tap in _taps(kh, kw, stride, ho, wo):
+            dxp[tap] += dcols[:, i, j]
+        return dxp[:, :, pad : pad + h, pad : pad + wid].transpose(1, 0, 2, 3)
+
+    return _node(y.reshape(f, n, ho, wo).transpose(1, 0, 2, 3), (
+        (w, lambda g: (g_mat(g) @ cols.T).reshape(w.data.shape)),
+        (b, lambda g: g.sum(axis=(0, 2, 3))),
+        (x, dx),
+    ), "conv2d output")
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def backward(g):
-        if x.tracked:
-            x.accumulate_grad(g * mask)
-
-    return _node(np.where(mask, x.data, 0.0), (x,), backward, "relu output")
+    # np.maximum(-0.0, 0.0) is 0.0, so no output is a negative zero
+    return _node(np.maximum(x.data, 0.0), ((x, lambda g: g * (x.data > 0)),), "relu output")
 
 
 def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
@@ -288,9 +291,7 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
     for tap in taps[1:]:
         np.maximum(out_data, x.data[tap], out=out_data)
 
-    def backward(g):
-        if not x.tracked:
-            return
+    def dx(g):
         dx = np.zeros_like(x.data)
         unrouted = np.ones(out_data.shape, dtype=bool)  # windows not yet given their g
         hit = np.empty(out_data.shape, dtype=bool)
@@ -301,9 +302,9 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
             # g * False is -0.0 for negative g, and 0.0 + -0.0 is 0.0, so
             # the sum is bitwise what adding only the routed g would give
             dx[tap] += np.multiply(g, hit)
-        x.accumulate_grad(dx)
+        return dx
 
-    return _node(out_data, (x,), backward, "maxpool2d output")
+    return _node(out_data, ((x, dx),), "maxpool2d output")
 
 
 def linear(x: Tensor, params: LayerParams) -> Tensor:
@@ -311,17 +312,11 @@ def linear(x: Tensor, params: LayerParams) -> Tensor:
     w, b = params.weights, params.bias
     if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"linear shape mismatch: input {x.data.shape} vs weights {w.data.shape}")
-    out_data = x.data @ w.data.T + b.data
-
-    def backward(g):
-        if w.tracked:
-            w.accumulate_grad(g.T @ x.data)
-        if b.tracked:
-            b.accumulate_grad(g.sum(axis=0))
-        if x.tracked:
-            x.accumulate_grad(g @ w.data)
-
-    return _node(out_data, (x, w, b), backward, "linear output")
+    return _node(x.data @ w.data.T + b.data, (
+        (w, lambda g: g.T @ x.data),
+        (b, lambda g: g.sum(axis=0)),
+        (x, lambda g: g @ w.data),
+    ), "linear output")
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -335,110 +330,67 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _stable_sigmoid(x.data)
-
-    def backward(g):
-        if x.tracked:
-            x.accumulate_grad(g * s * (1.0 - s))
-
-    return _node(s, (x,), backward, "sigmoid output")
+    return _node(s, ((x, lambda g: g * s * (1.0 - s)),), "sigmoid output")
 
 
 def elementwise_combine(a: Tensor, b: Tensor, mode: str) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"combine shape mismatch: {a.data.shape} vs {b.data.shape}")
     if mode == "sum":
+        vjps = ((a, lambda g: g), (b, lambda g: g))
         out_data = a.data + b.data
-
-        def backward(g):
-            if a.tracked:
-                a.accumulate_grad(g)
-            if b.tracked:
-                b.accumulate_grad(g)
-
     elif mode == "mul":
+        vjps = ((a, lambda g: g * b.data), (b, lambda g: g * a.data))
         out_data = a.data * b.data
-
-        def backward(g):
-            if a.tracked:
-                a.accumulate_grad(g * b.data)
-            if b.tracked:
-                b.accumulate_grad(g * a.data)
-
     else:
         raise ValueError(f"unknown combine mode {mode!r}")
-    return _node(out_data, (a, b), backward, "combine output")
+    return _node(out_data, vjps, "combine output")
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     old = x.data.shape
-    out_data = x.data.reshape(shape)
-
-    def backward(g):
-        if x.tracked:
-            x.accumulate_grad(g.reshape(old))
-
-    return _node(out_data, (x,), backward, "reshape output")
+    return _node(x.data.reshape(shape), ((x, lambda g: g.reshape(old)),), "reshape output")
 
 
 def transpose(x: Tensor, axes: tuple) -> Tensor:
     inv = tuple(np.argsort(axes))
-    out_data = x.data.transpose(axes)
-
-    def backward(g):
-        if x.tracked:
-            x.accumulate_grad(g.transpose(inv))
-
-    return _node(out_data, (x,), backward, "transpose output")
+    return _node(x.data.transpose(axes), ((x, lambda g: g.transpose(inv)),), "transpose output")
 
 
 def flatten(x: Tensor, start_dim: int = 1) -> Tensor:
     shape = x.data.shape
     # the trailing size is spelled out: numpy cannot infer -1 for zero rows
     out_data = x.data.reshape(shape[:start_dim] + (int(np.prod(shape[start_dim:])),))
-
-    def backward(g):
-        if x.tracked:
-            x.accumulate_grad(g.reshape(shape))
-
-    return _node(out_data, (x,), backward, "flatten output")
+    return _node(out_data, ((x, lambda g: g.reshape(shape)),), "flatten output")
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
-    out_data = x.data[idx]
 
-    def backward(g):
-        if x.tracked:
-            dx = np.zeros_like(x.data)
-            np.add.at(dx, idx, g)
-            x.accumulate_grad(dx)
+    def dx(g):
+        dx = np.zeros_like(x.data)
+        np.add.at(dx, idx, g)
+        return dx
 
-    return _node(out_data, (x,), backward, "gather output")
+    return _node(x.data[idx], ((x, dx),), "gather output")
 
 
 def take_channel_per_row(x: Tensor, channels: np.ndarray) -> Tensor:
     """From (R, K, ...) take one K-channel per row -> (R, ...)."""
     channels = np.asarray(channels, dtype=np.intp)
     rows = np.arange(x.data.shape[0])
-    out_data = x.data[rows, channels]
 
-    def backward(g):
-        if x.tracked:
-            dx = np.zeros_like(x.data)
-            dx[rows, channels] = g
-            x.accumulate_grad(dx)
+    def dx(g):
+        dx = np.zeros_like(x.data)
+        dx[rows, channels] = g
+        return dx
 
-    return _node(out_data, (x,), backward, "channel-select output")
+    return _node(x.data[rows, channels], ((x, dx),), "channel-select output")
 
 
 def tensor_sum(x: Tensor) -> Tensor:
-    out_data = np.asarray(x.data.sum())
-
-    def backward(g):
-        if x.tracked:
-            x.accumulate_grad(np.broadcast_to(g, x.data.shape).copy())
-
-    return _node(out_data, (x,), backward, "sum output")
+    return _node(np.asarray(x.data.sum()), ((x, lambda g: np.broadcast_to(g, x.data.shape)),),
+                 "sum output")
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +407,13 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logsum = np.log(ez.sum(axis=1)) + zmax[:, 0]
     losses = logsum - z[np.arange(r), labels]
     n = max(r, 1)
-    out_data = np.asarray(losses.sum() / n)
 
-    def backward(g):
-        if logits.tracked:
-            p = ez / ez.sum(axis=1, keepdims=True)
-            p[np.arange(r), labels] -= 1.0
-            logits.accumulate_grad(g * p / n)
+    def dz(g):
+        p = ez / ez.sum(axis=1, keepdims=True)
+        p[np.arange(r), labels] -= 1.0
+        return g * p / n
 
-    return _node(out_data, (logits,), backward, "softmax-CE output")
+    return _node(np.asarray(losses.sum() / n), ((logits, dz),), "softmax-CE output")
 
 
 def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -474,13 +424,8 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     z = logits.data
     losses = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
     n = max(z.size, 1)
-    out_data = np.asarray(losses.sum() / n)
-
-    def backward(g):
-        if logits.tracked:
-            logits.accumulate_grad(g * (_stable_sigmoid(z) - t) / n)
-
-    return _node(out_data, (logits,), backward, "bce output")
+    return _node(np.asarray(losses.sum() / n),
+                 ((logits, lambda g: g * (_stable_sigmoid(z) - t) / n),), "bce output")
 
 
 def smooth_l1(pred: Tensor, targets: np.ndarray) -> Tensor:
@@ -495,13 +440,9 @@ def smooth_l1(pred: Tensor, targets: np.ndarray) -> Tensor:
     absd = np.abs(d)
     per = np.where(absd < 1.0, 0.5 * d * d, absd - 0.5)
     r = max(pred.data.shape[0], 1) if pred.data.ndim > 1 else 1
-    out_data = np.asarray(per.sum() / r)
-
-    def backward(g):
-        if pred.tracked:
-            pred.accumulate_grad(g * np.where(absd < 1.0, d, np.sign(d)) / r)
-
-    return _node(out_data, (pred,), backward, "smooth-l1 output")
+    return _node(np.asarray(per.sum() / r),
+                 ((pred, lambda g: g * np.where(absd < 1.0, d, np.sign(d)) / r),),
+                 "smooth-l1 output")
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,8 @@ def cmd_compare(args, seed: int) -> int:
 
 
 def cmd_gradcheck(args, seed: int) -> int:
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be >= 1, got {args.seeds}")
     results = gradchecks.run_gradcheck_suite(n_seeds=args.seeds, base_seed=seed,
                                              include_end_to_end=not args.skip_e2e,
                                              log=print)

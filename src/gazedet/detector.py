@@ -163,15 +163,13 @@ def roi_align(feat: Tensor, rois: np.ndarray, stride: int, out_size: int) -> Ten
     ay_f = ay @ feat.data[0].transpose(1, 0, 2).reshape(fh, c * fw)
     out_data = ay_f.reshape(r, out_size * c, fw) @ ax.transpose(0, 2, 1)
 
-    def backward(g):
-        if not feat.tracked:
-            return
+    def dfeat(g):
         g_ax = g.transpose(0, 2, 1, 3).reshape(r, out_size * c, out_size) @ ax
         grad = ay.T @ g_ax.reshape(r * out_size, c * fw)
-        feat.accumulate_grad(grad.reshape(fh, c, fw).transpose(1, 0, 2)[None])
+        return grad.reshape(fh, c, fw).transpose(1, 0, 2)[None]
 
     out_data = out_data.reshape(r, out_size, c, out_size).transpose(0, 2, 1, 3)
-    return ad._node(out_data, (feat,), backward, "roi_align output")
+    return ad._node(out_data, ((feat, dfeat),), "roi_align output")
 
 
 # ---------------------------------------------------------------------------

@@ -30,100 +30,78 @@ def _signed(rng, lo, hi, shape):
     return rng.uniform(lo, hi, size=shape) * np.where(rng.random(shape) < 0.5, -1, 1)
 
 
-# Each op check draws its inputs from ``rng`` and returns grad_check's error.
-def check_conv2d(rng) -> float:
-    x = Tensor(_rand(rng, 1, 2, 6, 6), requires_grad=True)
-    p = ad.kaiming_conv(3, 2, 3, 3, rng)
+def _check(loss, *arrays, layer=None) -> float:
+    """grad_check of ``loss`` over tracked tensors of ``arrays``, then of
+    ``layer``'s weights and bias, which ``loss`` receives as one LayerParams."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    if layer is None:
+        return grad_check(loss, inputs)
+    return grad_check(lambda *t: loss(*t[:-2], ad.LayerParams(*t[-2:])),
+                      inputs + list(layer.tensors()))
 
-    def f(x, w, b):
-        return ad.tensor_sum(ad.conv2d(x, ad.LayerParams(w, b), stride=2, pad=1))
 
-    return grad_check(f, [x, p.weights, p.bias])
+def _summed(op, *args, **kwargs):
+    """The scalar loss sum(op(*inputs, *args, **kwargs))."""
+    return lambda *inputs: ad.tensor_sum(op(*inputs, *args, **kwargs))
 
 
+# Each check draws its inputs from ``rng`` in order and returns grad_check's error.
 def check_conv2d_batched(rng) -> float:
     """A batch of ROIs through a 3x3, pad-1 conv, shaped like the mask head.
 
     The output is weighted by a fixed random map before the sum, so each
     output cell sends its own gradient back.
     """
-    x = Tensor(_rand(rng, 3, 2, 4, 4), requires_grad=True)
-    p = ad.kaiming_conv(3, 2, 3, 3, rng)
+    x = _rand(rng, 3, 2, 4, 4)
+    layer = ad.kaiming_conv(3, 2, 3, 3, rng)
     weight = Tensor(_rand(rng, 3, 3, 4, 4))
-
-    def f(x, w, b):
-        y = ad.conv2d(x, ad.LayerParams(w, b), stride=1, pad=1)
-        return ad.tensor_sum(ad.elementwise_combine(y, weight, "mul"))
-
-    return grad_check(f, [x, p.weights, p.bias])
-
-
-def check_linear(rng) -> float:
-    x = Tensor(_rand(rng, 3, 5), requires_grad=True)
-    p = ad.kaiming_linear(4, 5, rng)
-
-    def f(x, w, b):
-        return ad.tensor_sum(ad.linear(x, ad.LayerParams(w, b)))
-
-    return grad_check(f, [x, p.weights, p.bias])
-
-
-def check_relu(rng) -> float:
-    t = Tensor(_signed(rng, 0.1, 2.0, (4, 4)), requires_grad=True)
-    return grad_check(lambda t: ad.tensor_sum(ad.relu(t)), [t])
-
-
-def check_sigmoid(rng) -> float:
-    t = Tensor(_rand(rng, 3, 3, lo=-4, hi=4), requires_grad=True)
-    return grad_check(lambda t: ad.tensor_sum(ad.sigmoid(t)), [t])
-
-
-def check_maxpool2d(rng) -> float:
-    t = Tensor(_rand(rng, 1, 2, 6, 6), requires_grad=True)
-    return grad_check(lambda t: ad.tensor_sum(ad.maxpool2d(t, 2, 2)), [t])
+    return _check(lambda x, params: ad.tensor_sum(ad.conv2d(x, params, pad=1) * weight),
+                  x, layer=layer)
 
 
 def check_elementwise_combine(rng) -> float:
-    a = Tensor(_rand(rng, 3, 3), requires_grad=True)
-    b = Tensor(_rand(rng, 3, 3), requires_grad=True)
-    e_sum = grad_check(lambda a, b: ad.tensor_sum(ad.elementwise_combine(a, b, "sum")), [a, b])
-    e_mul = grad_check(lambda a, b: ad.tensor_sum(ad.elementwise_combine(a, b, "mul")), [a, b])
-    return max(e_sum, e_mul)
+    a, b = _rand(rng, 3, 3), _rand(rng, 3, 3)
+    return max(_check(_summed(ad.elementwise_combine, mode), a, b) for mode in ("sum", "mul"))
 
 
 def check_softmax_cross_entropy(rng) -> float:
-    z = Tensor(_rand(rng, 4, 3), requires_grad=True)
+    z = _rand(rng, 4, 3)
     labels = rng.integers(0, 3, size=4)
-    return grad_check(lambda z: ad.softmax_cross_entropy(z, labels), [z])
+    return _check(lambda z: ad.softmax_cross_entropy(z, labels), z)
 
 
 def check_bce_with_logits(rng) -> float:
-    z = Tensor(_rand(rng, 3, 4), requires_grad=True)
+    z = _rand(rng, 3, 4)
     t = rng.integers(0, 2, size=(3, 4)).astype(np.float64)
-    return grad_check(lambda z: ad.bce_with_logits(z, t), [z])
+    return _check(lambda z: ad.bce_with_logits(z, t), z)
 
 
 def check_smooth_l1(rng) -> float:
     # keep residuals away from |x| = 1 where smooth-L1 second derivative jumps
-    t = np.zeros((3, 4))
     x = _signed(rng, 0.1, 0.8, (3, 4))
     x[0] += np.sign(x[0]) * 1.5  # exercise the linear branch too
-    z = Tensor(x, requires_grad=True)
-    return grad_check(lambda z: ad.smooth_l1(z, t), [z])
+    return _check(lambda z: ad.smooth_l1(z, np.zeros((3, 4))), x)
 
 
-def check_roi_align(rng) -> float:
-    feat = Tensor(_rand(rng, 1, 2, 4, 4), requires_grad=True)
-    rois = np.array([[1.0, 2.0, 9.5, 11.0], [0.0, 0.0, 16.0, 16.0]])
-    return grad_check(
-        lambda f: ad.tensor_sum(dt.roi_align(f, rois, stride=4, out_size=3)), [feat]
-    )
+ROIS = np.array([[1.0, 2.0, 9.5, 11.0], [0.0, 0.0, 16.0, 16.0]])
 
-
-OP_CHECKS = [(fn.__name__.removeprefix("check_"), fn) for fn in (
-    check_conv2d, check_conv2d_batched, check_linear, check_relu, check_sigmoid,
-    check_maxpool2d, check_elementwise_combine, check_softmax_cross_entropy,
-    check_bce_with_logits, check_smooth_l1, check_roi_align)]
+# (op name, check of one rng draw -> max relative error)
+OP_CHECKS = [
+    ("conv2d", lambda rng: _check(_summed(ad.conv2d, stride=2, pad=1), _rand(rng, 1, 2, 6, 6),
+                                  layer=ad.kaiming_conv(3, 2, 3, 3, rng))),
+    ("conv2d_batched", check_conv2d_batched),
+    ("linear", lambda rng: _check(_summed(ad.linear), _rand(rng, 3, 5),
+                                  layer=ad.kaiming_linear(4, 5, rng))),
+    ("relu", lambda rng: _check(_summed(ad.relu), _signed(rng, 0.1, 2.0, (4, 4)))),
+    ("sigmoid", lambda rng: _check(_summed(ad.sigmoid), _rand(rng, 3, 3, lo=-4, hi=4))),
+    ("maxpool2d", lambda rng: _check(_summed(ad.maxpool2d, 2, 2), _rand(rng, 1, 2, 6, 6))),
+    ("elementwise_combine", check_elementwise_combine),
+    ("softmax_cross_entropy", check_softmax_cross_entropy),
+    ("bce_with_logits", check_bce_with_logits),
+    ("smooth_l1", check_smooth_l1),
+    ("roi_align", lambda rng: _check(_summed(dt.roi_align, ROIS, stride=4, out_size=3),
+                                     _rand(rng, 1, 2, 4, 4))),
+]
 
 
 def end_to_end_config(seed: int) -> dt.ModelConfig:

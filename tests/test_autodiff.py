@@ -48,6 +48,12 @@ class TestRelu:
     def test_mixed(self):
         assert np.array_equal(ad.relu(Tensor([-1.0, 0.0, 2.5])).data, [0.0, 0.0, 2.5])
 
+    def test_non_positive_inputs_give_unsigned_zero(self):
+        x = np.array([-0.0, 0.0, -2.5, 3.0, -0.0, 1e-300, -1e-300])
+        out = ad.relu(Tensor(x)).data
+        assert not np.signbit(out).any()
+        assert out.tobytes() == np.array([0.0, 0.0, 0.0, 3.0, 0.0, 1e-300, 0.0]).tobytes()
+
 
 class TestMaxpool:
     def test_constant_map(self):
@@ -139,6 +145,32 @@ class TestCombine:
         a = Tensor(np.random.default_rng(3).uniform(-10, 10, size=(4, 4)))
         out = ad.elementwise_combine(a, Tensor(np.ones((4, 4))), "mul")
         assert np.array_equal(out.data, a.data)
+
+
+class TestGradientRule:
+    def test_first_gradient_is_a_fresh_unsigned_sum(self):
+        t = Tensor(np.zeros(2), requires_grad=True)
+        g = np.array([-0.0, 1.0])
+        t.accumulate_grad(g)
+        assert t.grad.tobytes() == np.array([0.0, 1.0]).tobytes()
+        assert not np.signbit(t.grad).any()
+        assert not np.shares_memory(t.grad, g)
+
+    def test_later_gradients_add(self):
+        t = Tensor(np.zeros(2), requires_grad=True)
+        t.accumulate_grad(np.array([-0.0, 1.0]))
+        t.accumulate_grad(np.array([2.0, -0.5]))
+        assert np.array_equal(t.grad, [2.0, 0.5])
+
+    def test_untracked_input_keeps_no_pair(self):
+        x = Tensor(np.ones((2, 3)))
+        p = layer_params(np.ones((4, 3)), np.zeros(4))
+        out = ad.linear(x, p)
+        assert out._parents == (p.weights, p.bias)
+        ad.tensor_sum(out).backward()
+        assert x.grad is None and p.weights.grad is not None
+        out = ad.relu(x)
+        assert out._parents == () and out._backward is None
 
 
 class TestNumerics:

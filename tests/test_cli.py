@@ -132,6 +132,16 @@ class TestGradcheck:
         assert got == code
         assert f"worst relative error 5.000e-05: {verdict}" in stdout
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_seeds_below_one_rejected_before_checks(self, capsys, monkeypatch, seeds):
+        def suite(**kw):
+            raise AssertionError("suite ran")
+        monkeypatch.setattr(gradchecks, "run_gradcheck_suite", suite)
+        code, stdout, stderr = run(capsys, "gradcheck", "--seeds", seeds, "--skip-e2e")
+        assert code == 1
+        assert f"--seeds must be >= 1, got {seeds}" in stderr
+        assert "gradcheck " not in stdout
+
 
 class TestParsing:
     def test_unknown_flag_exit_1(self, capsys):

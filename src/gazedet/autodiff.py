@@ -44,8 +44,7 @@ __all__ = [
     "smooth_l1",
     "grad_check",
     "sgd_step",
-    "kaiming_conv",
-    "kaiming_linear",
+    "kaiming",
 ]
 
 
@@ -73,7 +72,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_vel")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _check_finite(np.ascontiguousarray(data, dtype=np.float64),
+        self.data = _check_finite(np.asarray(data, dtype=np.float64, order="C"),
                                   "tensor constructor")
         self.grad = None
         self.requires_grad = requires_grad
@@ -159,7 +158,7 @@ def _node(data: np.ndarray, vjps: tuple, ctx: str) -> Tensor:
     ``_parents`` and ``_backward`` runs ``p.accumulate_grad(fn(g))`` for each
     kept pair in order, or is None when none is kept."""
     out = Tensor.__new__(Tensor)
-    out.data = _check_finite(np.ascontiguousarray(data, dtype=np.float64), ctx)
+    out.data = _check_finite(np.asarray(data, dtype=np.float64, order="C"), ctx)
     out.grad = out._vel = None
     out.requires_grad = False
     kept = [(p, fn) for p, fn in vjps if p.tracked] if _grad_enabled else []
@@ -192,18 +191,12 @@ class LayerParams:
         return (self.weights, self.bias)
 
 
-def kaiming_conv(c_out: int, c_in: int, kh: int, kw: int, rng: np.random.Generator) -> LayerParams:
-    fan_in = c_in * kh * kw
+def kaiming(shape: tuple, rng: np.random.Generator) -> LayerParams:
+    """He-uniform weights, then a bias of ``shape[:1]``; fan-in is ``prod(shape[1:])``."""
+    fan_in = int(np.prod(shape[1:]))
     bound = np.sqrt(6.0 / fan_in)
-    w = rng.uniform(-bound, bound, size=(c_out, c_in, kh, kw))
-    b = rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=(c_out,))
-    return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
-
-
-def kaiming_linear(m: int, d: int, rng: np.random.Generator) -> LayerParams:
-    bound = np.sqrt(6.0 / d)
-    w = rng.uniform(-bound, bound, size=(m, d))
-    b = rng.uniform(-1.0 / np.sqrt(d), 1.0 / np.sqrt(d), size=(m,))
+    w = rng.uniform(-bound, bound, size=shape)
+    b = rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape[:1])
     return LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
 
 

@@ -198,8 +198,29 @@ def save_reading(root: str, reading: Reading) -> str:
     return rdir
 
 
+def _check_reading_id(rid: str, first_entry: dict[str, int], i: int, where: str) -> None:
+    """Refuse an id that is not a single plain path component, or that repeats
+    one of ``first_entry`` (id -> entry index); then record it as entry ``i``."""
+    if rid in ("", ".", "..") or "/" in rid or os.sep in rid:
+        raise ValueError(f"{where}: id {rid!r} is not a single plain path component")
+    if rid in first_entry:
+        raise ValueError(f"{where}: id {rid!r} repeats readings[{first_entry[rid]}]")
+    first_entry[rid] = i
+
+
 def save_dataset(root: str, readings: list[Reading], splits: dict[str, str] | None = None) -> None:
-    """Write all readings, then the manifest last as the atomicity marker."""
+    """Write all readings, then the manifest last as the atomicity marker.
+
+    A reading ``load_dataset`` would refuse (a bad or repeated id, an ellipse
+    wholly outside its image) raises ValueError before anything is written.
+    """
+    man_path = os.path.join(root, "manifest.json")
+    first_entry: dict[str, int] = {}
+    for i, r in enumerate(readings):
+        where = f"{man_path}: readings[{i}]"
+        _check_reading_id(r.id, first_entry, i, where)
+        for j, a in enumerate(r.annotations):
+            _check_in_frame(a, r.width, r.height, f"{where}: annotations[{j}]: ")
     os.makedirs(root, exist_ok=True)
     for r in readings:
         save_reading(root, r)
@@ -208,7 +229,7 @@ def save_dataset(root: str, readings: list[Reading], splits: dict[str, str] | No
             {"id": r.id, "split": (splits or {}).get(r.id, "train")} for r in readings
         ]
     }
-    write_json(os.path.join(root, "manifest.json"), manifest, indent=1)
+    write_json(man_path, manifest, indent=1)
 
 
 def load_dataset(root: str, split: str | None = None) -> list[Reading]:
@@ -224,11 +245,7 @@ def load_dataset(root: str, split: str | None = None) -> list[Reading]:
     for i, entry in enumerate(json_field(read_json(man_path), "readings", list, man_path)):
         where = f"{man_path}: readings[{i}]"
         rid, part = (json_field(entry, key, str, where) for key in ("id", "split"))
-        if rid in ("", ".", "..") or "/" in rid or os.sep in rid:
-            raise ValueError(f"{where}: id {rid!r} is not a single plain path component")
-        if rid in first_entry:
-            raise ValueError(f"{where}: id {rid!r} repeats readings[{first_entry[rid]}]")
-        first_entry[rid] = i
+        _check_reading_id(rid, first_entry, i, where)
         if split is not None and part != split:
             continue
         readings.append(load_reading(os.path.join(root, "readings", rid)))

@@ -83,8 +83,12 @@ class ModelConfig:
             raise ValueError(f"unknown fusion_mode {self.fusion_mode!r}")
         if self.fusion_point not in ("input", "feature"):
             raise ValueError(f"unknown fusion_point {self.fusion_point!r}")
-        if len(self.channels) != 4:
-            raise ValueError(f"channels must give the 4 backbone widths, got {self.channels}")
+        if len(self.channels) != 4 or min(self.channels) < 1:
+            raise ValueError(f"channels must give the 4 backbone widths, each >= 1, "
+                             f"got {self.channels}")
+        for name in ("rpn_channels", "fc_dim", "mask_channels", "roi_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.img_size % self.feat_stride != 0:
             raise ValueError("img_size must be a multiple of the stride-8 backbone")
 
@@ -176,40 +180,37 @@ def roi_align(feat: Tensor, rois: np.ndarray, stride: int, out_size: int) -> Ten
 # model
 
 
-class DetectorModel:
-    """Owns all layer parameters; single-threaded during forward/backward."""
+def layer_shapes(config: ModelConfig) -> dict[str, tuple]:
+    """Each layer's weight shape by name, in draw order; a bias has shape
+    ``shape[:1]``. ``bb_fix_*`` come last, and only under feature fusion."""
+    c, a, k = config.channels, config.n_anchors_per_cell, config.n_classes
+    rc, fc, mc = config.rpn_channels, config.fc_dim, config.mask_channels
+    backbone = [(co, ci, 3, 3) for co, ci in zip(c, (1,) + tuple(c[:-1]))]
+    shapes = {f"bb_img_{i}": shape for i, shape in enumerate(backbone)}
+    shapes.update(rpn_conv=(rc, c[-1], 3, 3), rpn_obj=(a, rc, 1, 1), rpn_delta=(4 * a, rc, 1, 1),
+                  fc1=(fc, c[-1] * config.roi_size**2), cls=(k + 1, fc), box=(4, fc),
+                  mask_conv=(mc, c[-1], 3, 3), mask_out=(k, mc, 1, 1))
+    if config.use_fixations and config.fusion_point == "feature":
+        shapes.update((f"bb_fix_{i}", shape) for i, shape in enumerate(backbone))
+    return shapes
 
-    def __init__(self, config: ModelConfig):
+
+class DetectorModel:
+    """Owns all layer parameters, drawn unless given; single-threaded during forward/backward."""
+
+    def __init__(self, config: ModelConfig, params: dict[str, LayerParams] | None = None):
         self.config = config
-        c4 = config.channels[-1]
-        a = config.n_anchors_per_cell
-        k = config.n_classes
-        rng = np.random.default_rng(config.seed)
-        p = self._backbone_params("bb_img", rng)
-        p["rpn_conv"] = ad.kaiming_conv(config.rpn_channels, c4, 3, 3, rng)
-        p["rpn_obj"] = ad.kaiming_conv(a, config.rpn_channels, 1, 1, rng)
-        p["rpn_delta"] = ad.kaiming_conv(4 * a, config.rpn_channels, 1, 1, rng)
-        p["fc1"] = ad.kaiming_linear(config.fc_dim, c4 * config.roi_size**2, rng)
-        p["cls"] = ad.kaiming_linear(k + 1, config.fc_dim, rng)
-        p["box"] = ad.kaiming_linear(4, config.fc_dim, rng)
-        p["mask_conv"] = ad.kaiming_conv(config.mask_channels, c4, 3, 3, rng)
-        p["mask_out"] = ad.kaiming_conv(k, config.mask_channels, 1, 1, rng)
-        if config.use_fixations and config.fusion_point == "feature":
-            # separate stream so shared layers stay identical to an
-            # image-only model built from the same seed
-            p.update(self._backbone_params("bb_fix", np.random.default_rng([config.seed, 7])))
-        self.params = p
+        if params is None:
+            # bb_fix_* has its own stream: shared layers match an image-only model's
+            rng, fix_rng = (np.random.default_rng(s) for s in (config.seed, [config.seed, 7]))
+            params = {name: ad.kaiming(shape, fix_rng if name.startswith("bb_fix") else rng)
+                      for name, shape in layer_shapes(config).items()}
+        self.params = params
         fs = config.img_size // config.feat_stride
         self.anchors = bx.generate_anchors(
             fs, fs, config.feat_stride,
             list(config.anchor_scales), list(config.anchor_ratios), config.img_size,
         )
-
-    def _backbone_params(self, prefix: str, rng: np.random.Generator) -> dict[str, LayerParams]:
-        """One 3x3 conv per entry of ``config.channels``, from a 1-channel input."""
-        c_in = (1,) + tuple(self.config.channels[:-1])
-        return {f"{prefix}_{i}": ad.kaiming_conv(c, ci, 3, 3, rng)
-                for i, (c, ci) in enumerate(zip(self.config.channels, c_in))}
 
     def param_list(self) -> list[LayerParams]:
         return list(self.params.values())
@@ -571,21 +572,22 @@ def load_checkpoint(path: str) -> DetectorModel:
     where = f"{path}: config"
     values = _config_from_json(json_field(payload, "config", dict, path), where)
     try:
-        model = DetectorModel(ModelConfig(**values))
+        config = ModelConfig(**values)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    params = json_known_keys(json_field(payload, "params", dict, path), model.params,
-                             f"{path}: params")
-    for name, p in model.params.items():
-        entry = json_field(params, name, dict, f"{path}: params")
+    shapes = layer_shapes(config)
+    entries = json_known_keys(json_field(payload, "params", dict, path), shapes, f"{path}: params")
+    params = {}
+    for name, shape in shapes.items():
+        entry = json_field(entries, name, dict, f"{path}: params")
         where = f"{path}: layer {name!r}"
         json_known_keys(entry, ("kind", "weights", "bias"), where)
+        w, b = (_decode_array(json_field(entry, fld, dict, where), s, f"{where} {fld}")
+                for fld, s in (("weights", shape), ("bias", shape[:1])))
+        p = params[name] = LayerParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True))
         if json_field(entry, "kind", str, where) != p.kind:
             raise ValueError(f"{where}: kind {entry['kind']!r}, the model's layer is {p.kind!r}")
-        for fld, t in (("weights", p.weights), ("bias", p.bias)):
-            t.data = _decode_array(json_field(entry, fld, dict, where), t.data.shape,
-                                   f"{where} {fld}")
-    return model
+    return DetectorModel(config, params)
 
 
 def predictions_to_json(dets_by_reading: dict[str, list[Detection]]) -> list[dict]:

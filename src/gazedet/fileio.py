@@ -10,6 +10,7 @@ every JSON output is `json_text`, strict RFC 8259 with no NaN or infinity.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
@@ -47,13 +48,32 @@ def refuse_non_finite(arr: np.ndarray, where: str) -> None:
                          f"at flat index {bad[0]}")
 
 
+def _non_finite_at(obj, at: str = ""):
+    """(location, value) of the first non-finite float in the JSON tree `obj`
+    found at `at`, or None; a location reads like `classes[0].ap`."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (at, obj)
+    if isinstance(obj, dict):
+        items = ((f"{at}.{k}" if at else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{at}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    return next(filter(None, (_non_finite_at(v, where) for where, v in items)), None)
+
+
 def json_text(path: str, obj, indent=None, sort_keys: bool = False) -> str:
     """`obj` as strict JSON text and a newline; a NaN or an infinity raises
-    ValueError starting with `path`, the file the text is for."""
+    ValueError starting with `path`, the file the text is for, and naming
+    where in `obj` the value sits."""
     try:
         return json.dumps(obj, indent=indent, sort_keys=sort_keys, allow_nan=False) + "\n"
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        found = _non_finite_at(obj)
+        if found is None:
+            raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {found[0] or 'the value'} is {found[1]!r}, "
+                         "not a finite number") from exc
 
 
 def write_json(path: str, obj, indent=None, sort_keys: bool = False) -> None:

@@ -53,7 +53,7 @@ def check_conv2d_batched(rng) -> float:
     output cell sends its own gradient back.
     """
     x = _rand(rng, 3, 2, 4, 4)
-    layer = ad.kaiming_conv(3, 2, 3, 3, rng)
+    layer = ad.kaiming((3, 2, 3, 3), rng)
     weight = Tensor(_rand(rng, 3, 3, 4, 4))
     return _check(lambda x, params: ad.tensor_sum(ad.conv2d(x, params, pad=1) * weight),
                   x, layer=layer)
@@ -88,10 +88,10 @@ ROIS = np.array([[1.0, 2.0, 9.5, 11.0], [0.0, 0.0, 16.0, 16.0]])
 # (op name, check of one rng draw -> max relative error)
 OP_CHECKS = [
     ("conv2d", lambda rng: _check(_summed(ad.conv2d, stride=2, pad=1), _rand(rng, 1, 2, 6, 6),
-                                  layer=ad.kaiming_conv(3, 2, 3, 3, rng))),
+                                  layer=ad.kaiming((3, 2, 3, 3), rng))),
     ("conv2d_batched", check_conv2d_batched),
     ("linear", lambda rng: _check(_summed(ad.linear), _rand(rng, 3, 5),
-                                  layer=ad.kaiming_linear(4, 5, rng))),
+                                  layer=ad.kaiming((4, 5), rng))),
     ("relu", lambda rng: _check(_summed(ad.relu), _signed(rng, 0.1, 2.0, (4, 4)))),
     ("sigmoid", lambda rng: _check(_summed(ad.sigmoid), _rand(rng, 3, 3, lo=-4, hi=4))),
     ("maxpool2d", lambda rng: _check(_summed(ad.maxpool2d, 2, 2), _rand(rng, 1, 2, 6, 6))),

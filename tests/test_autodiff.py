@@ -464,3 +464,25 @@ class TestZeroRowLosses:
         assert out.item() == 0.0
         out.backward()
         assert x.grad.shape == shape
+
+
+class TestScalarShape:
+    """A scalar tensor, and every scalar op output, has numpy's 0-d shape ()."""
+
+    def test_constructor_keeps_zero_d(self):
+        assert Tensor(2.0).data.shape == ()
+        assert Tensor(np.float64(2.0)).shape == ()
+
+    @pytest.mark.parametrize("shape, loss", [
+        ((2, 3), ad.tensor_sum),
+        ((4, 3), lambda x: ad.softmax_cross_entropy(x, np.array([0, 2, 1, 2]))),
+        ((3, 4), lambda x: ad.bce_with_logits(x, np.eye(3, 4))),
+        ((3, 4), lambda x: ad.smooth_l1(x, np.full((3, 4), 0.25))),
+    ], ids=["tensor_sum", "softmax_cross_entropy", "bce_with_logits", "smooth_l1"])
+    def test_scalar_outputs_are_zero_d_and_backward_fills_grads(self, shape, loss):
+        x = Tensor(np.random.default_rng(0).uniform(-2.0, 2.0, size=shape), requires_grad=True)
+        out = loss(x)
+        assert out.data.shape == ()
+        out.backward()
+        assert out.grad.shape == ()
+        assert x.grad.shape == shape and np.abs(x.grad).sum() > 0

@@ -249,6 +249,42 @@ class TestSplit:
             ds.split(self._readings(10), (0.9, 0.3, -0.2), 0)
 
 
+class TestSaveDatasetRefusals:
+    """``save_dataset`` refuses what ``load_dataset`` would refuse, before it
+    writes any file."""
+
+    def readings(self):
+        return ds.synth_generate(SynthConfig(n_readings=2, img_size=32), 4)
+
+    def expect_refusal(self, tmp_path, readings, needle):
+        root = tmp_path / "data"
+        with pytest.raises(ValueError) as info:
+            ds.save_dataset(str(root), readings)
+        assert str(root / "manifest.json") in str(info.value) and needle in str(info.value)
+        assert not (root / "manifest.json").exists()
+        assert not root.exists()
+
+    def test_repeated_id(self, tmp_path):
+        readings = self.readings()
+        readings[1].id = readings[0].id
+        self.expect_refusal(tmp_path, readings, f"readings[1]: id {readings[0].id!r} repeats "
+                                                "readings[0]")
+
+    def test_id_with_a_path_separator(self, tmp_path):
+        readings = self.readings()
+        readings[1].id = "a/b"
+        self.expect_refusal(tmp_path, readings,
+                            "readings[1]: id 'a/b' is not a single plain path component")
+
+    def test_ellipse_wholly_outside_the_image(self, tmp_path):
+        readings = self.readings()
+        readings[1].annotations.append(EllipseAnnotation(80.0, 10.0, 5.0, 5.0,
+                                                         ClassLabel.ATELECTASIS))
+        n = len(readings[1].annotations) - 1
+        self.expect_refusal(tmp_path, readings, f"readings[1]: annotations[{n}]: ellipse at "
+                                                "(80.0, 10.0) lies entirely outside 32x32")
+
+
 class TestLoadDatasetManifest:
     """A malformed manifest.json fails with a ValueError naming the file,
     the entry and the value, not with a KeyError or a traceback."""

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gazedet import autodiff as ad
 from gazedet import boxes as bx
 from gazedet import detector as dt
+from gazedet import gradchecks
 from gazedet.autodiff import Tensor
 from gazedet.dataset import ClassLabel, EllipseAnnotation, ellipse_to_target
 from gazedet.detector import DetectorModel, ModelConfig
@@ -684,3 +685,69 @@ class TestMaskRows:
         targets = [dataclasses.replace(one_target()[0], x_min=x0, y_min=y0, x_max=x1, y_max=y1)]
         with pytest.raises(ValueError, match="has no mask row"):
             dt.compute_loss(out, targets, cfg, np.random.default_rng(0))
+
+
+class TestLayerShapes:
+    """``layer_shapes`` is the model's layer table: the drawn model has
+    exactly its layers, in its order, and loading a checkpoint draws nothing."""
+
+    @pytest.mark.parametrize("cfg", [
+        small_config(),
+        small_config(use_fixations=True, fusion_point="input", fusion_mode="mul"),
+        small_config(use_fixations=True, fusion_point="feature"),
+        gradchecks.end_to_end_config(0),
+    ], ids=["image_only", "input_fusion", "feature_fusion", "end_to_end"])
+    def test_table_matches_drawn_model(self, cfg):
+        model = DetectorModel(cfg)
+        assert list(dt.layer_shapes(cfg).items()) == [
+            (name, p.weights.data.shape) for name, p in model.params.items()]
+        for p in model.params.values():
+            assert p.bias.data.shape == p.weights.data.shape[:1]
+
+    def test_draw_order(self):
+        """The table's order is the draw order, which every checkpoint's
+        weights depend on: the image backbone, the RPN, the box head, the
+        mask head, then the fixation backbone from its own stream."""
+        cfg = small_config(use_fixations=True, fusion_point="feature")
+        assert list(dt.layer_shapes(cfg)) == [
+            "bb_img_0", "bb_img_1", "bb_img_2", "bb_img_3", "rpn_conv", "rpn_obj", "rpn_delta",
+            "fc1", "cls", "box", "mask_conv", "mask_out", "bb_fix_0", "bb_fix_1", "bb_fix_2",
+            "bb_fix_3"]
+
+    @pytest.mark.parametrize("field, value, needle", [
+        ("channels", [4, 0, 8, 8], "channels must give the 4 backbone widths, each >= 1"),
+        ("channels", [-4, 4, 8, 8], "channels must give the 4 backbone widths, each >= 1"),
+        ("rpn_channels", 0, "rpn_channels must be >= 1, got 0"),
+        ("fc_dim", 0, "fc_dim must be >= 1, got 0"),
+        ("mask_channels", -2, "mask_channels must be >= 1, got -2"),
+        ("roi_size", 0, "roi_size must be >= 1, got 0"),
+    ], ids=["channel_zero", "channel_negative", "rpn_zero", "fc_zero", "mask_negative",
+            "roi_zero"])
+    def test_load_refuses_a_layer_without_width(self, tmp_path, field, value, needle):
+        """The loader draws nothing, so the config itself refuses a width that
+        would give a layer no weights."""
+        path, payload = saved_payload(tmp_path)
+        payload["config"][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            dt.load_checkpoint(str(path))
+        assert f"{path}: config: {needle}" in str(info.value)
+
+    def test_load_makes_no_kaiming_draws(self, tmp_path, monkeypatch):
+        model = DetectorModel(small_config(use_fixations=True, fusion_point="feature", seed=6))
+        path = str(tmp_path / "ckpt.json")
+        dt.save_checkpoint(path, model)
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew an initialisation")
+
+        monkeypatch.setattr(ad, "kaiming", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)  # nor any other draw
+        back = dt.load_checkpoint(path)
+        assert back.config == model.config and list(back.params) == list(model.params)
+        for name, p in model.params.items():
+            for a, b in zip(p.tensors(), back.params[name].tensors()):
+                assert a.data.tobytes() == b.data.tobytes() and b.requires_grad
+        resaved = str(tmp_path / "again.json")
+        dt.save_checkpoint(resaved, back)
+        assert open(resaved, "rb").read() == open(path, "rb").read()

@@ -69,7 +69,7 @@ class Tensor:
     gradients whenever any ancestor is trainable.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_vel")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _check_finite(np.asarray(data, dtype=np.float64, order="C"),
@@ -78,7 +78,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._backward = None
-        self._vel = None
 
     @property
     def shape(self):
@@ -159,7 +158,7 @@ def _node(data: np.ndarray, vjps: tuple, ctx: str) -> Tensor:
     kept pair in order, or is None when none is kept."""
     out = Tensor.__new__(Tensor)
     out.data = _check_finite(np.asarray(data, dtype=np.float64, order="C"), ctx)
-    out.grad = out._vel = None
+    out.grad = None
     out.requires_grad = False
     kept = [(p, fn) for p, fn in vjps if p.tracked] if _grad_enabled else []
     out._parents = tuple(p for p, _ in kept)
@@ -476,19 +475,18 @@ def grad_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> float:
     return worst
 
 
-def sgd_step(params: list[LayerParams], lr: float, momentum: float = 0.0) -> None:
-    """v <- momentum*v - lr*g; w <- w + v; grads zeroed afterward.
+def sgd_step(params: dict[str, LayerParams], velocities: dict, lr: float,
+             momentum: float = 0.0) -> None:
+    """v <- momentum*v - lr*g; w <- w + v; grads zeroed afterward. ``velocities``
+    maps each name in ``params`` to its (weights, bias) v, updated in place.
 
     A tensor with no gradient (its parameter did not contribute to the
-    loss this step) is treated as having a zero gradient, so its momentum
-    still decays.
+    loss this step) counts as a zero gradient, so its momentum still decays.
     """
-    for p in params:
-        for t in p.tensors():
-            if t._vel is None:
-                t._vel = np.zeros_like(t.data)
-            t._vel *= momentum
+    for name, p in params.items():
+        for t, v in zip(p.tensors(), velocities[name]):
+            v *= momentum
             if t.grad is not None:
-                t._vel -= lr * t.grad
-            t.data = _check_finite(t.data + t._vel, "sgd_step update")
+                v -= lr * t.grad
+            t.data = _check_finite(t.data + v, "sgd_step update")
             t.grad = None

@@ -33,15 +33,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("GFD_SEED")
-    if env is not None:
+    """--seed, else GFD_SEED, else 0. numpy takes only non-negative integer
+    seeds, so any other value is refused here, naming where it came from."""
+    source, seed = "--seed", getattr(args, "seed", None)
+    if seed is None:
+        source, env = "GFD_SEED", os.environ.get("GFD_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise CliError(f"GFD_SEED is not an integer: {env!r}") from exc
-    return 0
+    if seed < 0:
+        raise CliError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _print_resolved(args, seed: int) -> None:

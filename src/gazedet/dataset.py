@@ -271,7 +271,8 @@ class SynthConfig:
         if self.img_size < 32:
             raise ValueError(f"img_size must be >= 32, got {self.img_size}")
         if not 0 <= self.lesions_min <= self.lesions_max:
-            raise ValueError("bad lesions-per-image range")
+            raise ValueError(f"lesions per image must satisfy 0 <= lesions_min <= lesions_max, "
+                             f"got lesions_min {self.lesions_min}, lesions_max {self.lesions_max}")
         if self.n_readings < 0:
             raise ValueError("n_readings must be non-negative")
 

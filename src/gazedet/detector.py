@@ -89,8 +89,13 @@ class ModelConfig:
         for name in ("rpn_channels", "fc_dim", "mask_channels", "roi_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
-        if self.img_size % self.feat_stride != 0:
-            raise ValueError("img_size must be a multiple of the stride-8 backbone")
+        if self.img_size < self.feat_stride or self.img_size % self.feat_stride != 0:
+            raise ValueError(f"img_size must be a positive multiple of the stride-8 backbone, "
+                             f"got {self.img_size!r}")
+        if not 1 <= self.n_classes <= len(ClassLabel):
+            raise ValueError(f"n_classes must lie in [1, {len(ClassLabel)}], got {self.n_classes!r}")
+        if self.post_nms_top < 0:
+            raise ValueError(f"post_nms_top must be >= 0, got {self.post_nms_top!r}")
 
     @property
     def n_anchors_per_cell(self) -> int:
@@ -211,9 +216,6 @@ class DetectorModel:
             fs, fs, config.feat_stride,
             list(config.anchor_scales), list(config.anchor_ratios), config.img_size,
         )
-
-    def param_list(self) -> list[LayerParams]:
-        return list(self.params.values())
 
     def _backbone(self, x: Tensor, prefix: str) -> Tensor:
         """Four 3x3 conv + ReLU layers with a 2x2 max-pool between each pair."""

@@ -138,7 +138,7 @@ def check_end_to_end(seed: int) -> float:
         return dt.train_loss(model, image, fmap, targets,
                              np.random.default_rng([seed, 11])).tensor
 
-    tensors = [t for p in model.param_list() for t in p.tensors()]
+    tensors = [t for p in model.params.values() for t in p.tensors()]
     return grad_check(loss_fn, tensors)
 
 

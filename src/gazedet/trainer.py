@@ -101,36 +101,40 @@ def train(model_cfg: ModelConfig, train_readings: list[Reading],
         raise ValueError("train set is empty")
     os.makedirs(out_dir, exist_ok=True)
     model = DetectorModel(model_cfg)
+    velocities = {name: tuple(np.zeros_like(t.data) for t in p.tensors())
+                  for name, p in model.params.items()}  # SGD momentum, owned by this run
     curve = ["step,epoch,cls,bbox,mask,total"]
     best_val = np.inf
     step = 0
-    for epoch in range(train_cfg.epochs):
-        order = np.random.default_rng([train_cfg.seed, epoch]).permutation(len(train_readings))
-        for k in order:
-            rng = np.random.default_rng([train_cfg.seed, epoch, int(k)])
-            try:
-                loss = _reading_loss(model, train_readings[k], rng)
-                loss.tensor.backward()
-                sgd_step(model.param_list(), train_cfg.lr, train_cfg.momentum)
-            except NumericsError as exc:
-                raise RuntimeError(f"training diverged at step {step}: {exc}") from exc
-            curve.append(f"{step},{epoch},{loss.classification!r},{loss.bbox!r},"
-                         f"{loss.mask!r},{loss.total!r}")
-            if log and step % train_cfg.log_every == 0:
-                log(f"step {step} epoch {epoch} total {loss.total:.4f}")
-            del loss  # frees this step's graph before the next forward pass
-            step += 1
-        last = os.path.join(out_dir, "checkpoint_last.json")
-        save_checkpoint(last, model)
-        val_set = val_readings if val_readings else train_readings
-        val_loss = _epoch_val_loss(model, val_set, train_cfg.seed, epoch)
-        if val_loss < best_val:
-            best_val = val_loss
-            # validation leaves the weights as just saved: copy, don't re-encode
-            atomic_copy(last, os.path.join(out_dir, "checkpoint_best.json"))
-        if log:
-            log(f"epoch {epoch} done; val loss {val_loss:.4f}")
-    atomic_write_text(os.path.join(out_dir, "loss_curve.csv"), "\n".join(curve) + "\n")
+    try:
+        for epoch in range(train_cfg.epochs):
+            order = np.random.default_rng([train_cfg.seed, epoch]).permutation(len(train_readings))
+            for k in order:
+                rng = np.random.default_rng([train_cfg.seed, epoch, int(k)])
+                try:
+                    loss = _reading_loss(model, train_readings[k], rng)
+                    loss.tensor.backward()
+                    sgd_step(model.params, velocities, train_cfg.lr, train_cfg.momentum)
+                except NumericsError as exc:
+                    raise RuntimeError(f"training diverged at step {step}: {exc}") from exc
+                curve.append(f"{step},{epoch},{loss.classification!r},{loss.bbox!r},"
+                             f"{loss.mask!r},{loss.total!r}")
+                if log and step % train_cfg.log_every == 0:
+                    log(f"step {step} epoch {epoch} total {loss.total:.4f}")
+                del loss  # frees this step's graph before the next forward pass
+                step += 1
+            last = os.path.join(out_dir, "checkpoint_last.json")
+            save_checkpoint(last, model)
+            val_set = val_readings if val_readings else train_readings
+            val_loss = _epoch_val_loss(model, val_set, train_cfg.seed, epoch)
+            if val_loss < best_val:
+                best_val = val_loss
+                # validation leaves the weights as just saved: copy, don't re-encode
+                atomic_copy(last, os.path.join(out_dir, "checkpoint_best.json"))
+            if log:
+                log(f"epoch {epoch} done; val loss {val_loss:.4f}")
+    finally:  # a diverged or interrupted run keeps the rows of the steps it took
+        atomic_write_text(os.path.join(out_dir, "loss_curve.csv"), "\n".join(curve) + "\n")
     return model
 
 

@@ -229,18 +229,25 @@ class TestSgdStep:
     def _param(self, w):
         return layer_params(np.asarray(w, dtype=float), np.zeros(1))
 
+    def _step(self, p, lr, momentum=0.0):
+        """sgd_step of ``p`` as layer "p", with the one velocity dict this test
+        owns, zero-filled before its first step as ``train`` does."""
+        if not hasattr(self, "velocities"):
+            self.velocities = {"p": tuple(np.zeros_like(t.data) for t in p.tensors())}
+        ad.sgd_step({"p": p}, self.velocities, lr, momentum)
+
     def test_zero_lr_keeps_weights(self):
         p = self._param([[1.0]])
         p.weights.grad = np.array([[5.0]])
         p.bias.grad = np.zeros(1)
-        ad.sgd_step([p], lr=0.0, momentum=0.0)
+        self._step(p, lr=0.0, momentum=0.0)
         assert p.weights.data[0, 0] == 1.0
 
     def test_plain_step_arithmetic(self):
         p = self._param([[1.0]])
         p.weights.grad = np.array([[2.0]])
         p.bias.grad = np.zeros(1)
-        ad.sgd_step([p], lr=0.1, momentum=0.0)
+        self._step(p, lr=0.1, momentum=0.0)
         assert np.isclose(p.weights.data[0, 0], 0.8)
 
     def test_momentum_recurrence(self):
@@ -249,18 +256,18 @@ class TestSgdStep:
         for expected in (0.9, 0.71):
             p.weights.grad = np.array([[1.0]])
             p.bias.grad = np.zeros(1)
-            ad.sgd_step([p], lr=0.1, momentum=0.9)
+            self._step(p, lr=0.1, momentum=0.9)
             assert np.isclose(p.weights.data[0, 0], expected)
 
     def test_missing_grad_treated_as_zero(self):
         p = self._param([[1.0]])
-        ad.sgd_step([p], lr=0.1)  # no grads anywhere: weights unchanged
+        self._step(p, lr=0.1)  # no grads anywhere: weights unchanged
         assert p.weights.data[0, 0] == 1.0
         # a stale velocity still decays even without a fresh gradient
         p.weights.grad = np.array([[1.0]])
         p.bias.grad = np.zeros(1)
-        ad.sgd_step([p], lr=0.1, momentum=0.5)  # v=-0.1, w=0.9
-        ad.sgd_step([p], lr=0.1, momentum=0.5)  # v=-0.05, w=0.85
+        self._step(p, lr=0.1, momentum=0.5)  # v=-0.1, w=0.9
+        self._step(p, lr=0.1, momentum=0.5)  # v=-0.05, w=0.85
         assert np.isclose(p.weights.data[0, 0], 0.85)
 
     def test_matches_out_of_place_recurrence_bitwise(self):
@@ -274,26 +281,29 @@ class TestSgdStep:
                      for k, w in enumerate(ws)]
             for t, g in zip(p.tensors(), grads):
                 t.grad = None if g is None else g.copy()
-            ad.sgd_step([p], lr=0.05, momentum=0.9)
+            self._step(p, lr=0.05, momentum=0.9)
             for k, g in enumerate(grads):
                 vs[k] = 0.9 * vs[k] - 0.05 * (np.zeros_like(ws[k]) if g is None else g)
                 ws[k] = ws[k] + vs[k]
             for w, t in zip(ws, p.tensors()):
                 assert np.array_equal(w, t.data)
                 assert np.array_equal(np.signbit(w), np.signbit(t.data))
+            for v, got in zip(vs, self.velocities["p"]):
+                assert np.array_equal(v, got)
+                assert np.array_equal(np.signbit(v), np.signbit(got))
 
     def test_non_finite_update_leaves_weights(self):
         p = self._param([[1.0]])
         p.weights.grad = np.array([[np.inf]])
         with pytest.raises(NumericsError, match="sgd_step update"):
-            ad.sgd_step([p], lr=0.1)
+            self._step(p, lr=0.1)
         assert p.weights.data[0, 0] == 1.0
 
     def test_grads_zeroed_after_step(self):
         p = self._param([[1.0]])
         p.weights.grad = np.array([[1.0]])
         p.bias.grad = np.zeros(1)
-        ad.sgd_step([p], lr=0.1)
+        self._step(p, lr=0.1)
         assert p.weights.grad is None and p.bias.grad is None
 
 

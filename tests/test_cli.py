@@ -52,10 +52,23 @@ class TestSynth:
         assert '"seed": 17' in stdout
 
     def test_bad_env_seed(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("GFD_SEED", "lots")
-        code, _, stderr = run(capsys, "synth", "--out", str(tmp_path / "d"),
-                              "--n", "2")
-        assert code == 1 and "GFD_SEED" in stderr
+        for env, argv, needle in [
+            ("lots", ["synth", "--out", str(tmp_path / "d"), "--n", "2"],
+             "GFD_SEED is not an integer: 'lots'"),
+            ("-3", ["gradcheck", "--seeds", "1", "--skip-e2e"], "GFD_SEED must be >= 0, got -3"),
+        ]:
+            monkeypatch.setenv("GFD_SEED", env)
+            code, stdout, stderr = run(capsys, *argv)
+            assert code == 1 and needle in stderr
+            assert "resolved config" not in stdout
+        assert not (tmp_path / "d").exists()
+
+    def test_negative_seed_flag_named(self, capsys, tmp_path):
+        code, _, stderr = run(capsys, "synth", "--out", str(tmp_path / "d"), "--n", "2",
+                              "--seed", "-2")
+        assert code == 1 and "--seed must be >= 0, got -2" in stderr
+        assert "--train-frac" not in stderr
+        assert not (tmp_path / "d").exists()
 
 
 class TestFixationsAndHeatmap:
@@ -299,8 +312,9 @@ class TestInputChecks:
         (["eval", "--thresh", "2"], "thresh must lie in [0, 1], got 2.0"),
         (["report", "--thresh", "-1"], "thresh must lie in [0, 1], got -1.0"),
         (["compare", "--thresh", "nan", "--epochs", "1"], "thresh must lie in [0, 1], got nan"),
+        (["train", "--seed", "-1"], "--seed must be >= 0, got -1"),
     ], ids=["train_momentum_5", "train_lr_nan", "eval_thresh_nan", "eval_thresh_2",
-            "report_thresh_negative", "compare_thresh_nan"])
+            "report_thresh_negative", "compare_thresh_nan", "train_seed_negative"])
     def test_bad_number_flag_exits_1(self, capsys, tmp_path, dataset, argv, needle):
         sources = {"eval": ["--checkpoint", str(tmp_path / "ckpt.json")],
                    "report": ["--predictions", str(tmp_path / "predictions.json")]}

@@ -179,6 +179,11 @@ class TestSynthGenerate:
         with pytest.raises(ValueError, match="img_size"):
             SynthConfig(n_readings=1, img_size=16)
 
+    @pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2)], ids=["min_negative", "min_above_max"])
+    def test_bad_lesion_range_names_both_bounds(self, lo, hi):
+        with pytest.raises(ValueError, match=f"got lesions_min {lo}, lesions_max {hi}$"):
+            SynthConfig(n_readings=1, lesions_min=lo, lesions_max=hi)
+
     def test_dwell_centers_near_lesions(self):
         cfg = SynthConfig(n_readings=200, img_size=64)
         readings = ds.synth_generate(cfg, 9)

@@ -340,7 +340,15 @@ class TestModelConfig:
         ({"anchor_scales": (8.0, -4.0)},
          r"anchor_scales\[1\] must be finite and positive, got -4.0"),
         ({"anchor_scales": (0.0,)}, r"anchor_scales\[0\] must be finite and positive, got 0.0"),
-    ], ids=["score_nan", "score_1_5", "scale_inf", "scale_negative", "scale_zero"])
+        ({"n_classes": 0}, r"n_classes must lie in \[1, 5\], got 0"),
+        ({"n_classes": 7}, r"n_classes must lie in \[1, 5\], got 7"),
+        ({"post_nms_top": -1}, "post_nms_top must be >= 0, got -1"),
+        ({"img_size": 0}, "img_size must be a positive multiple of the stride-8 backbone, got 0"),
+        ({"img_size": -8}, "img_size must be a positive multiple of the stride-8 backbone, got -8"),
+        ({"img_size": 36}, "img_size must be a positive multiple of the stride-8 backbone, got 36"),
+    ], ids=["score_nan", "score_1_5", "scale_inf", "scale_negative", "scale_zero",
+            "n_classes_0", "n_classes_7", "post_nms_top_negative", "img_size_0",
+            "img_size_negative", "img_size_36"])
     def test_rejects_bad_number(self, kw, needle):
         with pytest.raises(ValueError, match=needle):
             ModelConfig(**kw)
@@ -573,7 +581,9 @@ class TestZeroProposals:
         loss = dt.train_loss(model, image, None, [], np.random.default_rng(0))
         assert loss.bbox == 0.0 and loss.mask == 0.0 and loss.classification > 0.0
         loss.tensor.backward()
-        ad.sgd_step(model.param_list(), 0.01, 0.9)
+        velocities = {n: tuple(np.zeros_like(t.data) for t in p.tensors())
+                      for n, p in model.params.items()}
+        ad.sgd_step(model.params, velocities, 0.01, 0.9)
         for n in heads:
             for old, t in zip(before[n], model.params[n].tensors()):
                 assert np.array_equal(old, t.data), n
@@ -627,7 +637,7 @@ class TestMaskRows:
         heads = ("mask_conv", "mask_out")
 
         def mask_loss_and_grads(out):
-            for p in model.param_list():
+            for p in model.params.values():
                 for t in p.tensors():
                     t.zero_grad()
             loss = dt.compute_loss(out, targets, model.config, np.random.default_rng(seed))

@@ -120,6 +120,10 @@ class TestDivergence:
                      str(tmp_path / "run"))
         assert isinstance(info.value.__cause__, NumericsError)
         assert "conv2d output" in str(info.value)
+        # the loss curve keeps the step that finished: the header and step 0's row
+        rows = (tmp_path / "run" / "loss_curve.csv").read_text().splitlines()
+        assert rows[0] == "step,epoch,cls,bbox,mask,total"
+        assert [row.split(",")[:2] for row in rows[1:]] == [["0", "0"]]
 
 
 class TestEvaluate:

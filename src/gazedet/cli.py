@@ -4,7 +4,8 @@ Subcommands: synth | fixations | heatmap | train | eval | compare |
 gradcheck | report. Exit codes: 0 ok, 1 validation error, 2 runtime
 failure. Every run prints its resolved configuration and seed; GFD_SEED is
 the seed fallback when --seed is not given. A JSON config file can preseed
-flags (--config); explicit flags win.
+flags (--config); explicit flags win, and a refused value from the file is
+reported with the file's path.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import dataset as ds
@@ -291,8 +293,11 @@ def _apply_config_file(parser, argv):
     """Parse once to find --config, then again with its entries as flag
     tokens ahead of the explicit ones, which therefore win. For a switch,
     ``true`` is the bare flag and ``false`` nothing; any other entry is the
-    flag and its value, or each item of a list, as JSON text unless a string."""
+    flag and its value, or each item of a list, as JSON text unless a string.
+
+    Returns the arguments and the names of the flags whose value the file set."""
     args = parser.parse_args(argv)
+    from_file = []
     if args.config:
         overrides = json_known_keys(json_check(read_json(args.config), dict, args.config),
                                     set(vars(args)) - {"config", "func", "command"}, args.config)
@@ -305,22 +310,34 @@ def _apply_config_file(parser, argv):
                 items = value if isinstance(value, list) else [value]
                 tokens += [flag] + [v if isinstance(v, str) else json.dumps(v) for v in items]
         try:  # argv alone parsed, so a failure here is the config file's
-            args = parser.parse_args(argv[:1] + tokens + argv[1:])
+            typed, args = args, parser.parse_args(argv[:1] + tokens + argv[1:])
         except CliError as exc:
             raise CliError(f"{args.config}: {exc}") from exc
-    return args
+        # a typed flag keeps its value, so a value the file changed is the file's
+        from_file = [key for key in overrides if getattr(args, key) != getattr(typed, key)]
+    return args, from_file
+
+
+def _naming_config_file(message: str, args, from_file: list[str]) -> str:
+    """``message``, prefixed with the --config path when it names a flag,
+    as ``name`` or ``--name``, whose value came from that file."""
+    for key in from_file:
+        if re.search(rf"(?<![\w-])({key}|--{key.replace('_', '-')})(?![\w-])", message):
+            return f"{args.config}: {message}"
+    return message
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
+    args, from_file = None, []
     try:
-        args = _apply_config_file(parser, argv)
+        args, from_file = _apply_config_file(parser, argv)
         seed = _resolve_seed(args)
         _print_resolved(args, seed)
         return args.func(args, seed)
     except (CliError, ValueError, OSError, NumericsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_naming_config_file(str(exc), args, from_file)}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)

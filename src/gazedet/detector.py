@@ -8,7 +8,7 @@ A 3x3 RPN predicts per-anchor objectness and box deltas, proposals are
 pooled with bilinear ROI-align, and small heads emit class logits and box
 deltas for every proposal. The mask head emits per-class mask logits at ROI
 resolution only for the rows that are read, as in Mask R-CNN: in training
-the head positives (best IoU with a ground-truth box >= head_fg_thresh),
+the head positives of the one target assignment the forward pass records,
 which hold every positive the mask loss can sample; in inference the
 proposals behind the kept detections.
 
@@ -129,7 +129,9 @@ class DetectorOutput:
     box_deltas: Tensor  # (R, 4)
     mask_logits: Tensor  # (M, n_classes, roi, roi), one per entry of mask_rows
     mask_rows: np.ndarray  # (M,) sorted proposal indices the mask head ran on
-    detections: list[Detection] | None = None
+    detections: list[Detection] | None = None  # infer mode only
+    targets: list[TargetBox] | None = None  # train mode only
+    head: AssignResult | None = None  # train mode only: proposals against targets
 
 
 ROI_SAMPLING = 2  # bilinear sample points per output cell along each axis
@@ -253,13 +255,14 @@ class DetectorModel:
         return ad.elementwise_combine(f_img, f_fix, cfg.fusion_mode)
 
     def forward(self, image, fmap=None, mode: str = "infer",
-                gt_boxes: np.ndarray | None = None) -> DetectorOutput:
+                targets: list[TargetBox] | None = None) -> DetectorOutput:
         """Run the full pipeline.
 
-        In train mode ``gt_boxes`` (if given, a (G, 4) array, G >= 0) are
-        appended to the RPN proposals so the heads always see positives, and
-        the mask head runs on the head positives they define; in infer mode
-        it runs on the kept detections, and the Detection list is attached.
+        In train mode the boxes of ``targets`` (none if not given) are
+        appended to the RPN proposals so the heads always see positives, the
+        proposals are assigned to the targets once, and the mask head runs
+        on the head positives; in infer mode it runs on the kept detections,
+        and the Detection list is attached.
         """
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -279,8 +282,8 @@ class DetectorModel:
 
         proposals = self._select_proposals(rpn_obj.data, rpn_deltas.data)
         if mode == "train":
-            gt = np.zeros((0, 4)) if gt_boxes is None else np.asarray(gt_boxes, dtype=np.float64)
-            proposals = np.concatenate([proposals, gt])
+            targets = targets or []
+            proposals = np.concatenate([proposals, _gt_boxes(targets)])
 
         pooled = roi_align(feat, proposals, cfg.feat_stride, cfg.roi_size)
         flat = ad.flatten(pooled)
@@ -288,10 +291,9 @@ class DetectorModel:
         cls_logits = ad.linear(h1, self.params["cls"])
         box_deltas = ad.linear(h1, self.params["box"])
         if mode == "train":
-            # the positives of assign_targets(force_best=False): every row
-            # compute_loss can sample as a positive for the same targets
-            mask_rows = np.flatnonzero(
-                (bx.iou_matrix(proposals, gt) >= cfg.head_fg_thresh).any(axis=1))
+            head = assign_targets(proposals, targets, cfg.head_fg_thresh, cfg.head_bg_thresh,
+                                  force_best=False)
+            mask_rows = np.flatnonzero(head.labels == 1)
         else:
             picks, boxes, probs = self._pick_detections(proposals, cls_logits.data,
                                                         box_deltas.data)
@@ -303,11 +305,15 @@ class DetectorModel:
 
         out = DetectorOutput(self.anchors, rpn_obj, rpn_deltas, proposals,
                              cls_logits, box_deltas, mask_logits, mask_rows)
-        if mode == "infer":
+        if mode == "train":
+            out.targets, out.head = targets, head
+        else:
+            # one array of just the kept masks: each Detection holds a row of it
+            masks = ad._stable_sigmoid(
+                mask_logits.data[at, np.array([c - 1 for _, c in picks], dtype=np.intp)])
             out.detections = [
-                Detection(boxes[i].copy(), ClassLabel(c - 1), float(probs[i, c]),
-                          1.0 / (1.0 + np.exp(-mask_logits.data[k, c - 1])))
-                for (i, c), k in zip(picks, at)
+                Detection(boxes[i].copy(), ClassLabel(c - 1), float(probs[i, c]), mask)
+                for (i, c), mask in zip(picks, masks)
             ]
         return out
 
@@ -406,9 +412,11 @@ def _mask_targets(masks: np.ndarray, rois: np.ndarray, gt_idx: np.ndarray,
     return masks[gt_idx[:, None, None], yi[:, :, None], xi[:, None, :]].astype(np.float64)
 
 
-def compute_loss(out: DetectorOutput, targets: list[TargetBox], config: ModelConfig,
+def compute_loss(out: DetectorOutput, config: ModelConfig,
                  rng: np.random.Generator) -> LossBreakdown:
-    """Total loss = classification + bbox + mask (exact float sum); empty terms are 0."""
+    """Total loss = classification + bbox + mask (exact float sum) of a
+    train-mode output, against its targets; empty terms are 0."""
+    targets = out.targets
     gt = _gt_boxes(targets)
     # class index + 1 per target; the trailing 0 is what matched == -1 picks
     cls_of = np.array([int(t.label) + 1 for t in targets] + [0], dtype=np.int64)
@@ -425,11 +433,9 @@ def compute_loss(out: DetectorOutput, targets: list[TargetBox], config: ModelCon
     rpn_box = ad.smooth_l1(ad.gather_rows(out.rpn_deltas, pos_a), reg_t)
 
     # head terms over sampled proposals
-    head_assign = assign_targets(out.proposals, targets, config.head_fg_thresh,
-                                 config.head_bg_thresh, force_best=False)
-    hsamp = _sample_balanced(head_assign.labels, config.proposals_per_step,
+    hsamp = _sample_balanced(out.head.labels, config.proposals_per_step,
                              config.pos_fraction, rng)
-    matched = head_assign.matched[hsamp]
+    matched = out.head.matched[hsamp]
     head_ce = ad.softmax_cross_entropy(ad.gather_rows(out.cls_logits, hsamp), cls_of[matched])
     is_pos = matched >= 0
     pos_p, pos_gt = hsamp[is_pos], matched[is_pos]
@@ -437,13 +443,8 @@ def compute_loss(out: DetectorOutput, targets: list[TargetBox], config: ModelCon
     head_box = ad.smooth_l1(ad.gather_rows(out.box_deltas, pos_p), reg_t)
     masks = np.array([t.mask for t in targets]).reshape(-1, config.img_size, config.img_size)
     mt = _mask_targets(masks, out.proposals[pos_p], pos_gt, config.roi_size)
-    # each positive's entry among the mask rows; the trailing -1 is what an
-    # index past the end picks, and it matches no proposal
+    # every head positive is a mask row, so this is each sampled positive's entry
     at = np.searchsorted(out.mask_rows, pos_p)
-    missing = pos_p[np.append(out.mask_rows, -1)[at] != pos_p]
-    if missing.size:
-        raise ValueError(f"sampled positive proposal {missing[0]} has no mask row: "
-                         "forward was given other ground-truth boxes than these targets")
     sel = ad.take_channel_per_row(ad.gather_rows(out.mask_logits, at), cls_of[pos_gt] - 1)
     mask_loss = ad.bce_with_logits(sel, mt)
 
@@ -462,10 +463,9 @@ def _gt_boxes(targets: list[TargetBox]) -> np.ndarray:
 
 def train_loss(model: DetectorModel, image, fmap, targets: list[TargetBox],
                rng: np.random.Generator) -> LossBreakdown:
-    """The training loss recipe: train-mode forward pass with the ground-truth
-    boxes appended to the proposals, then ``compute_loss``."""
-    out = model.forward(image, fmap, mode="train", gt_boxes=_gt_boxes(targets))
-    return compute_loss(out, targets, model.config, rng)
+    """The training loss recipe: train-mode forward pass against the targets,
+    then ``compute_loss``."""
+    return compute_loss(model.forward(image, fmap, "train", targets), model.config, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -82,16 +82,7 @@ class Fixation:
 class FixationMap:
     """Max-normalized heatmap aligned to an image grid; values in [0, 1]."""
 
-    width: int
-    height: int
     values: np.ndarray  # (height, width) float64
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.height, self.width):
-            raise ValueError(
-                f"values shape {self.values.shape} != ({self.height}, {self.width})"
-            )
 
 
 def scaled_default(value_at_512: float, image_width: int) -> float:
@@ -196,14 +187,14 @@ def render_heatmap(
     peak = grid.max()
     if peak > 0:
         grid /= peak
-    return FixationMap(width, height, grid)
+    return FixationMap(grid)
 
 
 def binarize(fmap: FixationMap, threshold: float) -> FixationMap:
     """Hard mask variant of a heatmap: 1 where value >= threshold."""
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
-    return FixationMap(fmap.width, fmap.height, (fmap.values >= threshold).astype(np.float64))
+    return FixationMap((fmap.values >= threshold).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +241,7 @@ def _gaze_block(lines: list[str], prev_t: float):
     """The five columns of a block of gaze lines, or None if any line is bad.
 
     One split of the joined block and one ``map(float, ...)`` per column
-    apply the same grammar and checks as `_gaze_lines`, for the whole block."""
+    apply the same grammar and checks as `_gaze_error`, for the whole block."""
     rows = [line.rstrip("\r\n") for line in lines]
     n = len(rows)
     if list(map(str.count, rows, repeat(",", n))).count(4) != n:
@@ -275,35 +266,29 @@ def _gaze_block(lines: list[str], prev_t: float):
     return t, x, y, pupil, valid
 
 
-def _gaze_lines(path: str, lines: list[str], lineno: int, prev_t: float):
-    """The five columns of a block of gaze lines, read line by line; raises
-    the `path:line` error of the first bad line."""
-    columns = ([], [], [], [], [])
-    flags = {"0": False, "1": True}
-    isfinite = math.isfinite
+def _gaze_error(path: str, lines: list[str], lineno: int, prev_t: float) -> ValueError | None:
+    """The `path:line` error of the first bad line of a block of gaze lines,
+    read line by line, or None if every line is good. ``lineno`` is the
+    number of the block's first line, ``prev_t`` the timestamp before it."""
     for lineno, line in enumerate(lines, start=lineno):
         row = line.rstrip("\r\n").split(",")
         if len(row) != 5:
-            raise _bad_row(path, lineno, line, GAZE_CSV_HEADER)
+            return _bad_row(path, lineno, line, GAZE_CSV_HEADER)
         t_s, x_s, y_s, pupil_s, valid_s = row
-        try:
-            t = float(t_s)
-            x = float(x_s)
-            y = float(y_s)
-            pupil = float(pupil_s) if pupil_s else math.nan
-            valid = flags[valid_s]
-        except (ValueError, KeyError) as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
-        if not (isfinite(t) and isfinite(x) and isfinite(y)) or pupil_s and not isfinite(pupil):
-            raise _bad_row(path, lineno, line, GAZE_CSV_HEADER)
+        try:  # an empty pupil is allowed
+            t, x, y, pupil = map(float, (t_s, x_s, y_s, pupil_s or "0"))
+        except ValueError as exc:
+            return ValueError(f"{path}:{lineno}: malformed row: {exc}")
+        if valid_s not in ("0", "1"):
+            return ValueError(f"{path}:{lineno}: malformed row: {valid_s!r}")
+        if not all(map(math.isfinite, (t, x, y, pupil))):
+            return _bad_row(path, lineno, line, GAZE_CSV_HEADER)
         if t < 0:
-            raise ValueError(f"{path}:{lineno}: negative timestamp {t}")
+            return ValueError(f"{path}:{lineno}: negative timestamp {t}")
         if t <= prev_t:
-            raise ValueError(f"{path}:{lineno}: timestamps not strictly increasing")
+            return ValueError(f"{path}:{lineno}: timestamps not strictly increasing")
         prev_t = t
-        for column, value in zip(columns, (t, x, y, pupil, valid)):
-            column.append(value)
-    return columns
+    return None
 
 
 def read_gaze_csv(path: str) -> GazeStream:
@@ -312,7 +297,7 @@ def read_gaze_csv(path: str) -> GazeStream:
     (README "Data formats"). Any other line raises ValueError naming `path:line`.
 
     The file is parsed block by block; a block that fails the block checks is
-    read again line by line to find its first bad line."""
+    read again line by line only to name its first bad line."""
     blocks = []
     prev_t = -math.inf
     lineno = 2
@@ -320,7 +305,7 @@ def read_gaze_csv(path: str) -> GazeStream:
         while lines := fh.readlines(_BLOCK_HINT):
             block = _gaze_block(lines, prev_t)
             if block is None:
-                block = _gaze_lines(path, lines, lineno, prev_t)
+                raise _gaze_error(path, lines, lineno, prev_t)
             blocks.append(block)
             prev_t = block[0][-1]
             lineno += len(lines)

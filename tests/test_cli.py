@@ -326,6 +326,30 @@ class TestInputChecks:
         assert code == 1 and needle in stderr
         assert not out.exists()  # for compare: no arm directory either
 
+    @pytest.mark.parametrize("argv, entries, message, names_file", [
+        (["synth", "--n", "2"], {"seed": -4}, "--seed must be >= 0, got -4", True),
+        (["train"], {"lr": -1}, "lr must be finite and positive, got -1.0", True),
+        (["compare", "--epochs", "1"], {"thresh": 2}, "thresh must lie in [0, 1], got 2.0", True),
+        (["synth", "--n", "2"], {"lesions_min": 3}, "lesions_min <= lesions_max", True),
+        (["train", "--lr", "-2"], {"lr": -1, "momentum": 0.5},
+         "lr must be finite and positive, got -2.0", False),
+    ], ids=["synth_seed", "train_lr", "compare_thresh", "synth_lesions_min", "explicit_flag_wins"])
+    def test_refused_config_value_names_the_file(self, capsys, tmp_path, dataset, argv,
+                                                 entries, message, names_file):
+        """A value the --config file set is refused naming the file; a typed
+        flag's value is refused as without the file."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        source = [] if argv[0] == "synth" else ["--dataset", dataset]
+        code, _, stderr = run(capsys, argv[0], "--out", str(out), *source, "--config", str(cfg),
+                              *argv[1:])
+        assert code == 1
+        line = stderr.splitlines()[-1]
+        assert line.startswith(f"error: {cfg}: " if names_file else "error: ")
+        assert message in line and (str(cfg) in line) == names_file
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", [["--width", "512"], ["--height", "512"],
                                       ["--width", "-5", "--height", "5"]],
                              ids=["width_only", "height_only", "negative_width"])

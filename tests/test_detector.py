@@ -250,12 +250,12 @@ class TestComputeLoss:
         targets = one_target()
         gt = np.stack([t.xyxy for t in targets])
         image = np.random.default_rng(seed).uniform(size=(64, 64))
-        out = model.forward(image, mode="train", gt_boxes=gt)
+        out = model.forward(image, mode="train", targets=targets)
         return cfg, out, targets, gt
 
     def test_total_is_exact_component_sum(self):
         cfg, out, targets, _ = self._train_output()
-        loss = dt.compute_loss(out, targets, cfg, np.random.default_rng(0))
+        loss = dt.compute_loss(out, cfg, np.random.default_rng(0))
         assert loss.total == loss.classification + loss.bbox + loss.mask
         assert abs(loss.tensor.item() - loss.total) < 1e-12
         assert min(loss.classification, loss.bbox, loss.mask) >= 0.0
@@ -272,13 +272,13 @@ class TestComputeLoss:
         hpos = np.flatnonzero(head_assign.labels == 1)
         out.box_deltas.data[hpos] = bx.encode_boxes(
             out.proposals[hpos], gt[head_assign.matched[hpos]])
-        loss = dt.compute_loss(out, targets, cfg, np.random.default_rng(0))
+        loss = dt.compute_loss(out, cfg, np.random.default_rng(0))
         assert loss.bbox == 0.0
 
     def test_uniform_mask_logits_give_ln2(self):
         cfg, out, targets, _ = self._train_output()
         out.mask_logits.data[:] = 0.0
-        loss = dt.compute_loss(out, targets, cfg, np.random.default_rng(0))
+        loss = dt.compute_loss(out, cfg, np.random.default_rng(0))
         assert np.isclose(loss.mask, np.log(2.0), atol=1e-12)
 
     def test_smooth_l1_piecewise_values(self):
@@ -292,7 +292,7 @@ class TestComputeLoss:
         model = DetectorModel(cfg)
         image = np.random.default_rng(10).uniform(size=(64, 64))
         out = model.forward(image, mode="train")
-        loss = dt.compute_loss(out, [], cfg, np.random.default_rng(0))
+        loss = dt.compute_loss(out, cfg, np.random.default_rng(0))
         assert loss.bbox == 0.0 and loss.mask == 0.0
         assert loss.classification > 0.0
 
@@ -620,10 +620,12 @@ class TestMaskRows:
         cfg = small_config(seed=seed)
         targets = random_targets(rng)
         image = rng.uniform(size=(64, 64))
-        out = DetectorModel(cfg).forward(image, mode="train", gt_boxes=dt._gt_boxes(targets))
-        labels = dt.assign_targets(out.proposals, targets, cfg.head_fg_thresh,
-                                   cfg.head_bg_thresh, force_best=False).labels
-        assert np.array_equal(out.mask_rows, np.flatnonzero(labels == 1))
+        out = DetectorModel(cfg).forward(image, mode="train", targets=targets)
+        head = dt.assign_targets(out.proposals, targets, cfg.head_fg_thresh,
+                                 cfg.head_bg_thresh, force_best=False)
+        assert np.array_equal(out.head.labels, head.labels)
+        assert np.array_equal(out.head.matched, head.matched)
+        assert np.array_equal(out.mask_rows, np.flatnonzero(head.labels == 1))
         assert out.mask_logits.data.shape == (len(out.mask_rows), cfg.n_classes,
                                               cfg.roi_size, cfg.roi_size)
 
@@ -632,7 +634,6 @@ class TestMaskRows:
         rng = np.random.default_rng(100 + seed)
         model = DetectorModel(small_config(seed=seed))
         targets = random_targets(rng) or one_target()
-        gt = dt._gt_boxes(targets)
         image = rng.uniform(size=(64, 64))
         heads = ("mask_conv", "mask_out")
 
@@ -640,13 +641,13 @@ class TestMaskRows:
             for p in model.params.values():
                 for t in p.tensors():
                     t.zero_grad()
-            loss = dt.compute_loss(out, targets, model.config, np.random.default_rng(seed))
+            loss = dt.compute_loss(out, model.config, np.random.default_rng(seed))
             loss.tensor.backward()
             return loss.mask, [t.grad for n in heads for t in model.params[n].tensors()]
 
         got, got_grads = mask_loss_and_grads(
-            model.forward(image, mode="train", gt_boxes=gt))
-        ref_out = model.forward(image, mode="train", gt_boxes=gt)
+            model.forward(image, mode="train", targets=targets))
+        ref_out = model.forward(image, mode="train", targets=targets)
         ref_out.mask_logits = all_rows_mask_logits(model, image, ref_out.proposals)
         ref_out.mask_rows = np.arange(len(ref_out.proposals))
         ref, ref_grads = mask_loss_and_grads(ref_out)
@@ -683,18 +684,6 @@ class TestMaskRows:
             assert d.box.tobytes() == r.box.tobytes()
             assert d.label == r.label and d.score == r.score
             np.testing.assert_allclose(d.mask, r.mask, rtol=0.0, atol=1e-12)
-
-    def test_loss_refuses_targets_forward_was_not_given(self):
-        """A positive for these targets that forward did not run the mask
-        head on is refused, not read from another row."""
-        cfg = small_config()
-        image = np.random.default_rng(13).uniform(size=(64, 64))
-        out = DetectorModel(cfg).forward(image, mode="train")
-        assert len(out.mask_rows) == 0
-        x0, y0, x1, y1 = out.proposals[0]
-        targets = [dataclasses.replace(one_target()[0], x_min=x0, y_min=y0, x_max=x1, y_max=y1)]
-        with pytest.raises(ValueError, match="has no mask row"):
-            dt.compute_loss(out, targets, cfg, np.random.default_rng(0))
 
 
 class TestLayerShapes:

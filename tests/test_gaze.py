@@ -514,6 +514,26 @@ def gaze_csv_texts(draw):
     return "".join(line + end for line, end in zip(lines, ends))
 
 
+@st.composite
+def gaze_blocks(draw):
+    """1-4 body lines as the reader's ``readlines`` gives them: well-formed
+    rows whose timestamps may stall or start below zero, half of them with
+    one field swapped for a word, for nothing or for two fields."""
+    lines = []
+    t = draw(st.sampled_from([-4.0, -0.0, 0.0, 4.0]))
+    for _ in range(draw(st.integers(1, 4))):
+        t += draw(st.sampled_from([0.0, 4.0, 10.0, 10.0]))
+        row = [repr(t), repr(draw(st.floats(-600, 600))), "1.0",
+               draw(st.sampled_from(["", "3.5"])), draw(st.sampled_from("01"))]
+        if draw(st.booleans()):
+            row[(k := draw(st.integers(0, 4))):k + 1] = draw(st.sampled_from(
+                [[word] for word in CSV_FIELD_WORDS] + [[], ["1", "1"]]))
+        lines.append(",".join(row) + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no terminator after the last line
+    return lines
+
+
 @functools.cache
 def multi_block_lines(n=5000):
     """Body lines of a recording long enough for several reader blocks:
@@ -622,6 +642,15 @@ class TestGazeCsvReader:
     def test_same_outcome_as_csv_module(self, tmp_path_factory, text):
         path = write_text(tmp_path_factory.mktemp("cmp"), text)
         assert read_outcome(gz.read_gaze_csv, path) == read_outcome(csv_module_reader, path)
+
+    @given(gaze_blocks(), st.sampled_from([-math.inf, 0.0, 4.0]))
+    @settings(max_examples=1000, deadline=None)
+    def test_line_diagnosis_agrees_with_block_checks(self, lines, prev_t):
+        """The line-by-line re-read finds an error exactly when the block
+        checks refuse: a refused block always gets its `path:line` error."""
+        error = gz._gaze_error("gaze.csv", lines, 2, prev_t)
+        assert (error is None) == (gz._gaze_block(lines, prev_t) is not None)
+        assert error is None or isinstance(error, ValueError)
 
     @pytest.mark.parametrize("field", range(4))
     @pytest.mark.parametrize("word", ["nan", "inf", "-inf", "NaN", "Infinity"])

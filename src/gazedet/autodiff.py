@@ -457,19 +457,20 @@ def grad_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> float:
         raise ShapeError(f"grad_check closure must return a scalar, got {out.data.shape}")
     out.backward()
     worst = 0.0
-    for t in inputs:
-        analytic = np.zeros_like(t.data) if t.grad is None else t.grad
-        flat = t.data.reshape(-1)
-        for i in range(flat.size):
-            old = flat[i]
-            flat[i] = old + eps
-            f_pos = fn(*inputs).item()
-            flat[i] = old - eps
-            f_neg = fn(*inputs).item()
-            flat[i] = old
-            numeric = (f_pos - f_neg) / (2.0 * eps)
-            a = analytic.reshape(-1)[i]
-            worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
+    with no_grad():  # the 2N perturbed evaluations are never back-propagated
+        for t in inputs:
+            analytic = np.zeros_like(t.data) if t.grad is None else t.grad
+            flat = t.data.reshape(-1)
+            for i in range(flat.size):
+                old = flat[i]
+                flat[i] = old + eps
+                f_pos = fn(*inputs).item()
+                flat[i] = old - eps
+                f_neg = fn(*inputs).item()
+                flat[i] = old
+                numeric = (f_pos - f_neg) / (2.0 * eps)
+                a = analytic.reshape(-1)[i]
+                worst = max(worst, abs(a - numeric) / max(1.0, abs(a)))
     for t in inputs:
         t.zero_grad()
     return worst

@@ -76,16 +76,13 @@ def _load_split(args):
 def cmd_synth(args, seed: int) -> int:
     if args.n <= 0:
         raise CliError("--n must be positive")
-    try:
-        cfg = ds.SynthConfig(
-            n_readings=args.n,
-            img_size=args.size,
-            classes=tuple(ds.ClassLabel(c) for c in args.classes),
-            lesions_min=args.lesions_min,
-            lesions_max=args.lesions_max,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    cfg = ds.SynthConfig(
+        n_readings=args.n,
+        img_size=args.size,
+        classes=tuple(ds.ClassLabel(c) for c in args.classes),
+        lesions_min=args.lesions_min,
+        lesions_max=args.lesions_max,
+    )
     try:  # split the indices first, so bad ratios fail before any rendering
         train, val, test = ds.split(list(range(args.n)), (
             args.train_frac, args.val_frac, 1.0 - args.train_frac - args.val_frac), seed)
@@ -318,11 +315,19 @@ def _apply_config_file(parser, argv):
     return args, from_file
 
 
+# the parameter a flag's value is checked under, where it has another name
+_CHECKED_AS = {"size": "img_size", "sigma": "sigma_px", "binarize": "threshold",
+               "dispersion": "dispersion_px", "min_dur": "min_duration_ms",
+               "margin": "margin_px"}
+
+
 def _naming_config_file(message: str, args, from_file: list[str]) -> str:
     """``message``, prefixed with the --config path when it names a flag,
-    as ``name`` or ``--name``, whose value came from that file."""
+    as ``name``, ``--name`` or the parameter it is checked under, whose
+    value came from that file."""
     for key in from_file:
-        if re.search(rf"(?<![\w-])({key}|--{key.replace('_', '-')})(?![\w-])", message):
+        names = f"{key}|--{key.replace('_', '-')}|{_CHECKED_AS.get(key, key)}"
+        if re.search(rf"(?<![\w-])({names})(?![\w-])", message):
             return f"{args.config}: {message}"
     return message
 

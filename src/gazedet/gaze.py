@@ -212,8 +212,8 @@ def _csv_body(path: str, header: list[str], kind: str):
     """Check the header of a gaze-format CSV file; yield the file at line 2.
 
     Both gaze files share one grammar (README "Data formats"): comma-separated
-    lines ending in LF, CRLF or CR, no quoting. Readers split a body line with
-    ``line.rstrip("\r\n").split(",")``."""
+    lines ending in LF, CRLF or CR, no quoting. `_row` is the rule for one body
+    line, which readers and writers share."""
     with open(path, newline="") as fh:
         first = fh.readline()
         got = _csv_fields(first) if first else None
@@ -222,13 +222,25 @@ def _csv_body(path: str, header: list[str], kind: str):
         yield fh
 
 
-def _bad_row(path: str, lineno: int, line: str, header: list[str]) -> ValueError:
-    """The error for a body line with the wrong field count or a non-finite number."""
+def _row(path: str, lineno: int, line: str, header: list[str]) -> list[float]:
+    """The numbers of one body line (an empty pupil_mm is NaN, valid 0.0 or 1.0),
+    else the `path:lineno` ValueError for, in this order, its field count, its
+    first field that is no number (or a valid not 0 or 1), its first non-finite."""
     row = _csv_fields(line)
     if len(row) != len(header):
-        return ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-    name, text = next((n, v) for n, v in zip(header, row) if v and not math.isfinite(float(v)))
-    return ValueError(f"{path}:{lineno}: non-finite {name} {text!r}")
+        raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+    values = []
+    for name, text in zip(header, row):
+        if name == "valid" and text not in ("0", "1"):
+            raise ValueError(f"{path}:{lineno}: malformed row: {text!r}")
+        try:
+            values.append(float(text or "nan") if name == "pupil_mm" else float(text))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
+    for name, text, value in zip(header, row, values):
+        if text and not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: non-finite {name} {text!r}")
+    return values
 
 
 # Characters per `readlines` block of gaze.csv: about 1k lines of 17-digit
@@ -271,18 +283,10 @@ def _gaze_error(path: str, lines: list[str], lineno: int, prev_t: float) -> Valu
     read line by line, or None if every line is good. ``lineno`` is the
     number of the block's first line, ``prev_t`` the timestamp before it."""
     for lineno, line in enumerate(lines, start=lineno):
-        row = line.rstrip("\r\n").split(",")
-        if len(row) != 5:
-            return _bad_row(path, lineno, line, GAZE_CSV_HEADER)
-        t_s, x_s, y_s, pupil_s, valid_s = row
-        try:  # an empty pupil is allowed
-            t, x, y, pupil = map(float, (t_s, x_s, y_s, pupil_s or "0"))
+        try:
+            t = _row(path, lineno, line, GAZE_CSV_HEADER)[0]
         except ValueError as exc:
-            return ValueError(f"{path}:{lineno}: malformed row: {exc}")
-        if valid_s not in ("0", "1"):
-            return ValueError(f"{path}:{lineno}: malformed row: {valid_s!r}")
-        if not all(map(math.isfinite, (t, x, y, pupil))):
-            return _bad_row(path, lineno, line, GAZE_CSV_HEADER)
+            return exc
         if t < 0:
             return ValueError(f"{path}:{lineno}: negative timestamp {t}")
         if t <= prev_t:
@@ -315,50 +319,40 @@ def read_gaze_csv(path: str) -> GazeStream:
 
 
 def write_gaze_csv(path: str, samples: GazeStream) -> None:
-    """Write nothing if a number is non-finite; raise the reader's error for its line.
+    """Write nothing if `read_gaze_csv` would refuse a line; raise its error.
 
     A NaN pupil is written as an empty field."""
-    lines = [",".join(GAZE_CSV_HEADER)]
     rows = zip(samples.t_ms.tolist(), samples.x_px.tolist(), samples.y_px.tolist(),
                samples.pupil_mm.tolist(), samples.valid.tolist())
-    for lineno, (t, x, y, pupil, valid) in enumerate(rows, start=2):
-        pupil_s = "" if math.isnan(pupil) else repr(pupil)
-        lines.append(f"{t!r},{x!r},{y!r},{pupil_s},{1 if valid else 0}")
-        if not all(map(math.isfinite, (t, x, y))) or math.isinf(pupil):
-            raise _bad_row(path, lineno, lines[-1], GAZE_CSV_HEADER)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines = [f"{t!r},{x!r},{y!r},{'' if math.isnan(pupil) else repr(pupil)},{1 if valid else 0}"
+             for t, x, y, pupil, valid in rows]
+    if lines and _gaze_block(lines, -math.inf) is None:
+        raise _gaze_error(path, lines, 2, -math.inf)
+    atomic_write_text(path, "\n".join([",".join(GAZE_CSV_HEADER), *lines]) + "\n")
+
+
+def _fixation(path: str, lineno: int, line: str) -> Fixation:
+    """The fixation of one body line of fixations.csv: `_row`, then end_ms >= start_ms."""
+    cx, cy, start, end = _row(path, lineno, line, FIXATION_CSV_HEADER)
+    if end < start:
+        raise ValueError(f"{path}:{lineno}: end_ms before start_ms")
+    return Fixation(cx, cy, start, end)
 
 
 def read_fixation_csv(path: str) -> list[Fixation]:
     """Parse `cx_px,cy_px,start_ms,end_ms`: finite numbers, end_ms >= start_ms.
 
     Fixations off the image are kept; `render_heatmap` defines how they count."""
-    fixations: list[Fixation] = []
     with _csv_body(path, FIXATION_CSV_HEADER, "fixation") as fh:
-        for lineno, line in enumerate(fh, start=2):
-            row = line.rstrip("\r\n").split(",")
-            if len(row) != 4:
-                raise _bad_row(path, lineno, line, FIXATION_CSV_HEADER)
-            try:
-                cx, cy, start, end = map(float, row)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row: {exc}") from exc
-            if not all(map(math.isfinite, (cx, cy, start, end))):
-                raise _bad_row(path, lineno, line, FIXATION_CSV_HEADER)
-            if end < start:
-                raise ValueError(f"{path}:{lineno}: end_ms before start_ms")
-            fixations.append(Fixation(cx, cy, start, end))
-    return fixations
+        return [_fixation(path, lineno, line) for lineno, line in enumerate(fh, start=2)]
 
 
 def write_fixation_csv(path: str, fixations: list[Fixation]) -> None:
-    """Write nothing if a number is non-finite; raise the reader's error for its line."""
-    lines = [",".join(FIXATION_CSV_HEADER)]
-    for lineno, f in enumerate(fixations, start=2):
-        lines.append(f"{f.cx_px!r},{f.cy_px!r},{f.start_ms!r},{f.end_ms!r}")
-        if not all(map(math.isfinite, (f.cx_px, f.cy_px, f.start_ms, f.end_ms))):
-            raise _bad_row(path, lineno, lines[-1], FIXATION_CSV_HEADER)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write nothing if `read_fixation_csv` would refuse a line; raise its error."""
+    lines = [f"{f.cx_px!r},{f.cy_px!r},{f.start_ms!r},{f.end_ms!r}" for f in fixations]
+    for lineno, line in enumerate(lines, start=2):
+        _fixation(path, lineno, line)
+    atomic_write_text(path, "\n".join([",".join(FIXATION_CSV_HEADER), *lines]) + "\n")
 
 
 def write_pgm(path: str, values: np.ndarray) -> None:
@@ -423,7 +417,9 @@ def read_float_map(path: str) -> np.ndarray:
         raise ValueError(f"{path}: bad float map header {header!r}")
     w, h = int(fields[1]), int(fields[2])
     _check_body_length(path, len(body), 8 * w * h)
-    return np.frombuffer(body, dtype=np.float64).reshape(h, w).copy()
+    values = np.frombuffer(body, dtype=np.float64).reshape(h, w).copy()
+    refuse_non_finite(values, path)
+    return values
 
 
 def _check_body_length(path: str, actual: int, expected: int) -> None:

@@ -119,6 +119,39 @@ class TestFixationsAndHeatmap:
         assert code == 1 and f"{parameter} " in stderr and "nan" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, entries, message, names_file", [
+        (["synth", "--n", "2"], {"size": 8}, "img_size must be >= 32, got 8", True),
+        (["heatmap", "--width", "64", "--height", "64"], {"sigma": -1},
+         "sigma_px must be finite and positive, got -1.0", True),
+        (["heatmap", "--width", "64", "--height", "64"], {"binarize": 2},
+         "threshold must lie in [0, 1], got 2.0", True),
+        (["fixations"], {"dispersion": 0}, "dispersion_px must be finite and positive, got 0.0",
+         True),
+        (["fixations"], {"min_dur": 0}, "min_duration_ms must be finite and positive, got 0.0",
+         True),
+        (["fixations", "--width", "64", "--height", "64"], {"margin": -1},
+         "margin_px must be finite and >= 0, got -1.0", True),
+        (["heatmap", "--width", "64", "--height", "64", "--sigma", "-2"], {"sigma": -1},
+         "sigma_px must be finite and positive, got -2.0", False),
+    ], ids=["synth_size", "heatmap_sigma", "heatmap_binarize", "fixations_dispersion",
+            "fixations_min_dur", "fixations_margin", "explicit_flag_wins"])
+    def test_refused_config_value_names_the_file(self, capsys, tmp_path, gaze_csv, argv,
+                                                 entries, message, names_file):
+        """A value the --config file set is refused naming the file, also when
+        its check names the parameter the flag feeds rather than the flag."""
+        fix_csv = str(tmp_path / "fix.csv")
+        run(capsys, "fixations", "--gaze", gaze_csv, "--out", fix_csv)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        source = {"fixations": ["--gaze", gaze_csv], "heatmap": ["--fixations", fix_csv]}
+        code, _, stderr = run(capsys, argv[0], *source.get(argv[0], []), "--out", str(out),
+                              "--config", str(cfg), *argv[1:])
+        assert code == 1
+        prefix = f"{cfg}: " if names_file else ""
+        assert stderr.splitlines()[-1] == f"error: {prefix}{message}"
+        assert not out.exists()
+
     def test_idempotent_outputs(self, capsys, tmp_path, gaze_csv):
         outs = []
         for name in ("f1.csv", "f2.csv"):

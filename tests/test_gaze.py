@@ -363,6 +363,13 @@ class TestFileFormats:
             gz.write_fixation_csv(str(path), [Fixation(1.0, 2.0, 0.0, 50.0), Fixation(*numbers)])
         assert not path.exists()
 
+    def test_fixation_writer_refuses_end_before_start(self, tmp_path):
+        path = tmp_path / "wf.csv"
+        with pytest.raises(ValueError, match=r"wf\.csv:3: end_ms before start_ms"):
+            gz.write_fixation_csv(str(path), [Fixation(1.0, 2.0, 0.0, 50.0),
+                                              Fixation(1.0, 2.0, 100.0, 99.5)])
+        assert not path.exists() and not (tmp_path / "wf.csv.tmp").exists()
+
     @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
     def test_pgm_writer_refuses_values_outside_unit_range(self, tmp_path, bad):
         values = np.full((3, 4), 0.5)
@@ -380,6 +387,12 @@ class TestFileFormats:
         with pytest.raises(ValueError, match=rf"map\.gfm: non-finite value {bad!r} at flat index 6"):
             gz.write_float_map(str(path), values)
         assert not path.exists()
+
+    def test_float_map_reader_refuses_non_finite(self, tmp_path):
+        path = tmp_path / "map.gfm"
+        path.write_bytes(b"GFMAP 2 2\n" + struct.pack("<4d", 0.5, 1.0, math.nan, 0.0))
+        with pytest.raises(ValueError, match=r"map\.gfm: non-finite value nan at flat index 2"):
+            gz.read_float_map(str(path))
 
     def test_pgm_round_trip_quantized(self, tmp_path):
         path = str(tmp_path / "map.pgm")
@@ -636,6 +649,31 @@ class TestGazeCsvReader:
             with pytest.raises(ValueError, match=r"gaze\.csv:\d+: non-finite"):
                 gz.write_gaze_csv(str(path), stream)
             assert not path.exists()
+
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 5.0, 10.0]), st.floats()),
+        st.one_of(st.floats(-600, 600), st.floats()), st.floats(-600, 600),
+        st.one_of(st.none(), st.floats()), st.booleans(),
+    ), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_writer_refuses_what_reader_refuses(self, tmp_path_factory, rows):
+        """On any stream, including unsorted, repeated or negative times and
+        non-finite numbers, the writer raises the reader's error for the same
+        text and leaves no file, or writes that text."""
+        directory = tmp_path_factory.mktemp("wr")
+        path = directory / "gaze.csv"
+        text = GAZE_HEADER_LINE + "".join(
+            f"{t!r},{x!r},{y!r},{'' if p is None or math.isnan(p) else repr(p)},{int(v)}\n"
+            for t, x, y, p, v in rows)
+        expected = read_outcome(gz.read_gaze_csv, write_text(directory, text))
+        path.unlink()
+        try:
+            gz.write_gaze_csv(str(path), stream_of(rows))
+        except ValueError as exc:
+            assert expected == ("error", str(exc))
+            assert list(directory.iterdir()) == []
+        else:
+            assert expected[0] == "ok" and path.read_text() == text
 
     @given(gaze_csv_texts())
     @settings(max_examples=150, deadline=None)

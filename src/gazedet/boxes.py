@@ -1,4 +1,4 @@
-"""Box geometry: anchor grids, delta encoding/decoding, IoU, NMS.
+"""Box geometry: anchor grids, delta encoding/decoding, IoU, NMS, ranking.
 
 Boxes are (x_min, y_min, x_max, y_max) arrays in image coordinates.
 Deltas follow the usual (tx, ty, tw, th) parameterization:
@@ -97,6 +97,12 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     inter, area_a, area_b = pairwise_overlap(a, b)
     union = area_a[:, None] + area_b[None, :] - inter
     return np.where(union > 0, inter / np.where(union > 0, union, 1.0), 0.0)
+
+
+def rank_order(scores, boxes) -> np.ndarray:
+    """The one detection ranking: indices by score descending, then box
+    coordinates ascending, then input index; ``-0.0`` ties with ``0.0``."""
+    return np.lexsort((*np.reshape(boxes, (-1, 4)).T[::-1], -np.asarray(scores)))
 
 
 def nms(boxes: np.ndarray, scores: np.ndarray, iou_thresh: float,

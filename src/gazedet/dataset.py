@@ -193,8 +193,12 @@ def save_reading(root: str, reading: Reading) -> str:
     ]
     write_json(os.path.join(rdir, "annotations.json"), ann, indent=1)
     gz.write_gaze_csv(os.path.join(rdir, "gaze.csv"), reading.gaze)
+    # load_reading prefers fixations.csv to gaze.csv, so a stale one must go
+    fix_path = os.path.join(rdir, "fixations.csv")
     if reading.fixations is not None:
-        gz.write_fixation_csv(os.path.join(rdir, "fixations.csv"), reading.fixations)
+        gz.write_fixation_csv(fix_path, reading.fixations)
+    elif os.path.exists(fix_path):
+        os.remove(fix_path)
     return rdir
 
 

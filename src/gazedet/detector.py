@@ -107,7 +107,7 @@ class Detection:
     box: np.ndarray  # (4,) x_min, y_min, x_max, y_max
     label: ClassLabel
     score: float
-    mask: np.ndarray  # (roi, roi) floats in [0, 1]
+    mask: np.ndarray | None  # (roi, roi) floats in [0, 1]; None when read from predictions
 
 
 @dataclass
@@ -295,10 +295,9 @@ class DetectorModel:
                                   force_best=False)
             mask_rows = np.flatnonzero(head.labels == 1)
         else:
-            picks, boxes, probs = self._pick_detections(proposals, cls_logits.data,
-                                                        box_deltas.data)
-            mask_rows, at = np.unique(np.array([i for i, _ in picks], dtype=np.intp),
-                                      return_inverse=True)
+            rows, classes, boxes, probs = self._pick_detections(proposals, cls_logits.data,
+                                                                box_deltas.data)
+            mask_rows, at = np.unique(rows, return_inverse=True)
         m = ad.relu(ad.conv2d(ad.gather_rows(pooled, mask_rows), self.params["mask_conv"],
                               stride=1, pad=1))
         mask_logits = ad.conv2d(m, self.params["mask_out"])
@@ -309,11 +308,10 @@ class DetectorModel:
             out.targets, out.head = targets, head
         else:
             # one array of just the kept masks: each Detection holds a row of it
-            masks = ad._stable_sigmoid(
-                mask_logits.data[at, np.array([c - 1 for _, c in picks], dtype=np.intp)])
+            masks = ad._stable_sigmoid(mask_logits.data[at, classes - 1])
             out.detections = [
                 Detection(boxes[i].copy(), ClassLabel(c - 1), float(probs[i, c]), mask)
-                for (i, c), mask in zip(picks, masks)
+                for i, c, mask in zip(rows.tolist(), classes.tolist(), masks)
             ]
         return out
 
@@ -329,13 +327,13 @@ class DetectorModel:
         return decoded[keep]
 
     def _pick_detections(self, proposals: np.ndarray, cls_logits: np.ndarray,
-                         box_deltas: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
-        """The kept (row, class) pairs, best first, with the decoded boxes and
-        class probabilities of every row.
+                         box_deltas: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The rows and classes of the kept detections, best first, with the
+        decoded boxes and class probabilities of every row.
 
         Per class, rows scoring at least ``score_thresh`` go through NMS; the
-        survivors of all classes are sorted by (-score, box) and cut at
-        ``max_detections``.
+        survivors of all classes are ranked by ``boxes.rank_order`` (ties in
+        class order, then NMS order) and cut at ``max_detections``.
         """
         cfg = self.config
         z = cls_logits - cls_logits.max(axis=1, keepdims=True)
@@ -343,14 +341,15 @@ class DetectorModel:
         probs = ez / ez.sum(axis=1, keepdims=True)
         boxes = bx.decode_boxes(proposals, box_deltas, cfg.img_size)
         valid = (boxes[:, 2] - boxes[:, 0] > 0) & (boxes[:, 3] - boxes[:, 1] > 0)
-        picks: list[tuple[int, int]] = []
+        rows, classes = [], []
         for c in range(1, cfg.n_classes + 1):
             sc = probs[:, c]
             sel = np.flatnonzero((sc >= cfg.score_thresh) & valid)
-            keep = bx.nms(boxes[sel], sc[sel], cfg.infer_nms_thresh)
-            picks += [(int(i), c) for i in sel[keep]]
-        picks.sort(key=lambda p: (-probs[p], tuple(boxes[p[0]])))
-        return picks[: cfg.max_detections], boxes, probs
+            rows.append(sel[bx.nms(boxes[sel], sc[sel], cfg.infer_nms_thresh)])
+            classes.append(np.full(len(rows[-1]), c, dtype=np.intp))
+        rows, classes = np.concatenate(rows), np.concatenate(classes)
+        best = bx.rank_order(probs[rows, classes], boxes[rows])[: cfg.max_detections]
+        return rows[best], classes[best], boxes, probs
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +610,8 @@ def predictions_from_json(rows, where: str = "predictions") -> dict[str, list[De
     A row is an object with a string ``reading_id``, a ``box`` of four
     finite numbers with x0 < x1 and y0 < y1, a known class ``label`` and a
     finite ``score`` in [0, 1]. Anything else raises ValueError naming
-    ``where``, the row, the field and the value.
+    ``where``, the row, the field and the value. The file holds no masks, so
+    each Detection's ``mask`` is None.
     """
     out: dict[str, list[Detection]] = {}
     for i, row in enumerate(json_check(rows, list, where)):
@@ -625,12 +625,7 @@ def predictions_from_json(rows, where: str = "predictions") -> dict[str, list[De
         score = json_field(row, "score", float, at)
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"{at}: score {score!r} is not in [0, 1]")
-        det = Detection(
-            box=np.asarray(box, dtype=np.float64),
-            label=label,
-            score=float(score),
-            mask=np.zeros((ModelConfig.roi_size, ModelConfig.roi_size)),
-        )
+        det = Detection(np.asarray(box, dtype=np.float64), label, float(score), mask=None)
         out.setdefault(rid, []).append(det)
     return out
 

@@ -1,18 +1,22 @@
 """File I/O shared by every module: atomic writes and strict JSON.
 
 Each payload goes to `<path>.tmp` and is renamed over `path`, so a reader
-never sees a half-written file. A payload may come in several chunks (say a
-header and an array body), written in turn so none is copied into a joined
-bytes object. Every JSON input goes through `read_json` and `json_check`;
-every JSON output is `json_text`, strict RFC 8259 with no NaN or infinity.
+never sees a half-written file; a failed write removes the temp file. A
+payload may come in several chunks (say a header and an array body), written
+in turn so none is copied into a joined bytes object. Every JSON input goes
+through `read_json`, which refuses a key repeated within an object, and
+`json_check`; every JSON output is `json_text`, strict RFC 8259 with no NaN
+or infinity.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -22,12 +26,18 @@ _KIND_NAMES = {dict: "an object", list: "a list", str: "a string",
 
 
 def atomic_write_bytes(path: str, *chunks) -> None:
-    """Write the bytes-like `chunks` back to back to `path`, atomically."""
+    """Write the bytes-like `chunks` back to back to `path`, atomically; on
+    any error or interrupt the temp file is removed and `path` is untouched."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def atomic_copy(src: str, dst: str) -> None:
@@ -81,12 +91,28 @@ def write_json(path: str, obj, indent=None, sort_keys: bool = False) -> None:
     atomic_write_text(path, json_text(path, obj, indent, sort_keys))
 
 
+class _RepeatedKey(ValueError):
+    pass
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of `pairs`; a key that repeats raises _RepeatedKey
+    naming it, where `json.load` alone would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise _RepeatedKey(f"key {key!r} repeats in one object")
+    return obj
+
+
 def read_json(path: str):
-    """The parsed UTF-8 JSON text of `path`; a decoding or syntax error
-    raises ValueError starting with the path."""
+    """The parsed UTF-8 JSON text of `path`; a decoding or syntax error, or
+    a key repeated within an object, raises ValueError starting with the path."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except _RepeatedKey as exc:
+            raise ValueError(f"{path}: {exc}") from exc
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ValueError(f"{path}: not a JSON file: {exc}") from exc
 

@@ -2,9 +2,10 @@
 
 IoBB divides the intersection area by the *predicted* box area, so a
 prediction fully inside an oversized ground-truth box scores 1.0. IoU is
-the usual symmetric intersection-over-union. Matching is greedy in
-descending score with inclusive (>= threshold) comparison, one match per
-ground-truth box.
+the usual symmetric intersection-over-union. Matching is greedy in the
+order of ``boxes.rank_order`` (score descending, then box, then input
+index: the rule the detector ranks its kept detections with), with
+inclusive (>= threshold) comparison, one match per ground-truth box.
 
 AP is the all-point area under the precision-recall curve (precision
 envelope); AR is recall over the top-scoring ``max_dets`` detections at the
@@ -71,19 +72,13 @@ class MatchResult:
     order: np.ndarray  # rank order -> original detection index
 
 
-def _rank_order(dets) -> np.ndarray:
-    """Deterministic ranking: score desc, then box lexicographic."""
-    keys = [(-d.score, tuple(d.box), i) for i, d in enumerate(dets)]
-    return np.asarray([k[2] for k in sorted(keys)], dtype=np.intp)
-
-
 def match_detections(dets, gts, thresh: float, kind: str = "iobb") -> MatchResult:
     """Greedy matching; each detection takes the best still-unmatched gt.
 
     Among unmatched gts with overlap >= thresh the first maximum wins, and
     only a strictly positive overlap matches (even at threshold 0).
     """
-    order = _rank_order(dets)
+    order = bx.rank_order([d.score for d in dets], [d.box for d in dets])
     gt_matched = np.zeros(len(gts), dtype=bool)
     is_tp = np.zeros(len(dets), dtype=bool)
     matched_gt = np.full(len(dets), -1, dtype=np.int64)

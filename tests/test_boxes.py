@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gazedet import boxes as bx
 
@@ -150,3 +151,23 @@ class TestNms:
     def test_negative_max_keep(self):
         with pytest.raises(ValueError, match="max_keep"):
             bx.nms(np.zeros((1, 4)), np.zeros(1), 0.5, max_keep=-1)
+
+
+class TestRankOrder:
+    """Score descending, then box coordinates ascending, then input index:
+    the tuple sort both the detector and the AP matcher used to write out."""
+
+    coord = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0])
+    score = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])
+
+    @given(st.lists(st.tuples(score, st.tuples(coord, coord, coord, coord)), max_size=12))
+    def test_matches_tuple_sort(self, dets):
+        s = [d[0] for d in dets]
+        b = [np.array(d[1]) for d in dets]
+        want = sorted(range(len(dets)), key=lambda i: (-s[i], tuple(b[i]), i))
+        assert bx.rank_order(s, b).tolist() == want
+        assert bx.rank_order(np.array(s), np.reshape(b, (-1, 4))).tolist() == want
+
+    def test_empty(self):
+        order = bx.rank_order([], [])
+        assert order.dtype == np.intp and order.tolist() == []

@@ -318,6 +318,18 @@ class TestInputChecks:
             assert needle in stderr
         assert not (tmp_path / "rep").exists()
 
+    def test_report_rejects_reading_outside_split(self, capsys, tmp_path, dataset):
+        test_id = ds.load_dataset(dataset, "test")[0].id
+        train_id = ds.load_dataset(dataset, "train")[0].id
+        preds = tmp_path / "predictions.json"
+        preds.write_text("[" + ",".join(self.ROW % (rid, "Atelectasis", "0.5")
+                                        for rid in (test_id, train_id)) + "]")
+        code, _, stderr = run(capsys, "report", "--predictions", str(preds),
+                              "--dataset", dataset, "--out", str(tmp_path / "rep"))
+        assert code == 1
+        assert f"{preds}: reading ids not in split 'test': [{train_id!r}]" in stderr
+        assert not (tmp_path / "rep").exists()
+
     def test_synth_rejects_negative_ratio(self, capsys, tmp_path):
         out = tmp_path / "d"
         code, _, stderr = run(capsys, "synth", "--out", str(out), "--n", "10",
@@ -460,6 +472,16 @@ class TestJsonInputs:
         assert code == 1 and "Traceback" not in stderr
         assert any(f"error: {path}: not a JSON file" in stderr for path in paths)
 
+    def test_repeated_key_in_annotations(self, capsys, tmp_path, dataset):
+        paths = sorted(dataset.glob("**/annotations.json"))
+        for path in paths:
+            path.write_text('[{"cx": 1, "cx": 2, "cy": 16, "rx": 3, "ry": 3, '
+                            '"label": "Atelectasis"}]')
+        code, _, stderr = run(capsys, "eval", "--checkpoint", str(tmp_path / "none.json"),
+                              "--dataset", str(dataset), "--out", str(tmp_path / "e"))
+        assert code == 1 and "Traceback" not in stderr
+        assert any(f"error: {path}: key 'cx' repeats in one object" in stderr for path in paths)
+
     @pytest.mark.parametrize("text, needles", [
         ("[1, 2]", ["[1, 2]", "not an object"]),
         ('"abc"', ["'abc'", "not an object"]),
@@ -469,8 +491,9 @@ class TestJsonInputs:
         ('{"classes": 7}', ["--classes", "7"]),
         ('{"config": "x.json"}', ["unknown keys", "'config'"]),
         ('{"command": "eval"}', ["unknown keys", "'command'"]),
+        ('{"seed": 1, "seed": 2}', ["key 'seed' repeats in one object"]),
     ], ids=["list", "string", "not_json", "func", "float_size", "unknown_class",
-            "nested_config", "command"])
+            "nested_config", "command", "repeated_key"])
     def test_bad_config_file(self, capsys, tmp_path, text, needles):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)

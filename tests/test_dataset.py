@@ -215,6 +215,26 @@ class TestSynthGenerate:
             assert loaded.annotations == orig.annotations
 
 
+class TestSaveReading:
+    def test_resave_without_fixations_drops_stale_file(self, tmp_path):
+        """fixations.csv wins over gaze.csv on load, so a reading re-saved
+        without fixations must not keep the earlier save's file."""
+        from dataclasses import replace
+
+        from gazedet import trainer as tr
+
+        r2 = ds.synth_generate(SynthConfig(n_readings=1, img_size=64), 5)[0]
+        assert r2.fixations is None
+        r = replace(r2, fixations=[gz.Fixation(5.0, 5.0, 0.0, 200.0)])
+        ds.save_dataset(str(tmp_path), [r])
+        assert ds.load_dataset(str(tmp_path))[0].fixations == r.fixations
+        ds.save_dataset(str(tmp_path), [r2])
+        back = ds.load_dataset(str(tmp_path))[0]
+        assert back.fixations is None
+        assert np.array_equal(tr.fixation_map_for(back, 64).values,
+                              tr.fixation_map_for(r2, 64).values)
+
+
 class TestSplit:
     def _readings(self, n):
         return ds.synth_generate(SynthConfig(n_readings=n, img_size=32), 1)

@@ -409,6 +409,14 @@ class TestCheckpoint:
         assert np.array_equal(d.box, [1.0, 2.0, 3.0, 4.0])
         assert d.label is ClassLabel.CONSOLIDATION and d.score == 0.75
 
+    def test_predictions_carry_no_mask(self, tmp_path):
+        """predictions.json holds no masks, so a loaded Detection has none."""
+        det = dt.Detection(np.array([1.0, 2.0, 3.0, 4.0]), ClassLabel.ATELECTASIS, 0.5,
+                           np.ones((7, 7)))
+        path = str(tmp_path / "predictions.json")
+        dt.save_predictions(path, {"r0001": [det]})
+        assert dt.load_predictions(path)["r0001"][0].mask is None
+
     def test_layout(self, tmp_path):
         _, payload = saved_payload(tmp_path)
         assert sorted(payload) == ["config", "format", "params"]

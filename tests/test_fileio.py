@@ -27,3 +27,53 @@ class TestNonFiniteJson:
         obj = {"b": [1.5, {"c": -2.0}], "a": 3}
         text = fileio.json_text("p.json", obj, sort_keys=True)
         assert text == '{"a": 3, "b": [1.5, {"c": -2.0}]}\n'
+
+
+class TestAtomicWriteFailure:
+    """A write that fails part way leaves neither the new file nor its
+    `.tmp`, and an existing file keeps its old bytes."""
+
+    @pytest.mark.parametrize("old", [None, b"old bytes"], ids=["new_file", "existing_file"])
+    def test_bad_second_chunk(self, tmp_path, old):
+        path = tmp_path / "x.bin"
+        if old is not None:
+            path.write_bytes(old)
+        with pytest.raises(TypeError):
+            fileio.atomic_write_bytes(str(path), b"head", None)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["x.bin"])
+        if old is not None:
+            assert path.read_bytes() == old
+
+    def test_interrupt_before_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.bin"
+        path.write_bytes(b"old bytes")
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fileio.os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            fileio.atomic_write_bytes(str(path), b"head", b"body")
+        assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+        assert path.read_bytes() == b"old bytes"
+
+
+class TestRepeatedJsonKey:
+    """`read_json` refuses a key repeated within one object, at any depth,
+    naming the file and the key, where `json.load` keeps the last value."""
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"cx": 1, "cx": 2}', "'cx'"),
+        ('[{"a": 1}, {"b": {"c": 1, "d": 2, "c": 3}}]', "'c'"),
+        ('{"x": 1, "y": 2, "y": 2, "x": 3}', "'x'"),
+    ], ids=["top_level", "nested", "earliest_key_named"])
+    def test_refused(self, tmp_path, text, key):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            fileio.read_json(str(path))
+        assert str(info.value) == f"{path}: key {key} repeats in one object"
+
+    def test_same_key_in_sibling_objects_is_fine(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text('[{"cx": 1}, {"cx": 2, "cy": {"cx": 3}}]')
+        assert fileio.read_json(str(path)) == [{"cx": 1}, {"cx": 2, "cy": {"cx": 3}}]

@@ -485,9 +485,9 @@ def sgd_step(params: dict[str, LayerParams], velocities: dict, lr: float,
     loss this step) counts as a zero gradient, so its momentum still decays.
     """
     for name, p in params.items():
-        for t, v in zip(p.tensors(), velocities[name]):
+        for part, t, v in zip(("weights", "bias"), p.tensors(), velocities[name]):
             v *= momentum
             if t.grad is not None:
                 v -= lr * t.grad
-            t.data = _check_finite(t.data + v, "sgd_step update")
+            t.data = _check_finite(t.data + v, f"sgd_step update of layer {name!r} {part}")
             t.grad = None

@@ -5,17 +5,21 @@ An image branch and an optional fixation-map branch run through small
 conv/pool backbones (stride 8, 32 feature channels by default); the two
 are combined element-wise either on the raw inputs or on the feature maps.
 A 3x3 RPN predicts per-anchor objectness and box deltas, proposals are
-pooled with bilinear ROI-align, and small heads emit class logits and box
-deltas for every proposal. The mask head emits per-class mask logits at ROI
-resolution only for the rows that are read, as in Mask R-CNN: in training
-the head positives of the one target assignment the forward pass records,
-which hold every positive the mask loss can sample; in inference the
-proposals behind the kept detections.
+pooled with bilinear ROI-align, and small heads emit class logits, box
+deltas and per-class mask logits at ROI resolution. The heads run only on
+the rows that are read, as in Mask R-CNN (He et al., 2017, section 3).
+In training the forward pass assigns the anchors and the proposals to the
+targets and draws the two loss minibatches from the step's generator, the
+RPN anchors first and the proposals second; the box heads then run on the
+sampled proposals and the mask head on the sampled positives. In inference
+the box heads run on every proposal and the mask head on the proposals
+behind the kept detections.
 
 Total training loss = classification + bbox + mask, where classification is
-RPN binary cross-entropy plus multiclass head cross-entropy, bbox is
-smooth-L1 over positive anchors/proposals, and mask is binary cross-entropy
-on the ground-truth class channel only.
+RPN binary cross-entropy on the sampled anchors plus multiclass head
+cross-entropy on the sampled proposals, bbox is smooth-L1 over every
+positive anchor and the sampled positive proposals, and mask is binary
+cross-entropy on the ground-truth class channel of the sampled positives.
 """
 
 from __future__ import annotations
@@ -124,14 +128,19 @@ class DetectorOutput:
     anchors: np.ndarray
     rpn_obj: Tensor  # (n_anchors,)
     rpn_deltas: Tensor  # (n_anchors, 4)
-    proposals: np.ndarray  # (R, 4), R may be 0
-    cls_logits: Tensor  # (R, n_classes + 1)
-    box_deltas: Tensor  # (R, 4)
+    proposals: np.ndarray  # (R, 4) every proposal, R may be 0
+    head_rows: np.ndarray  # (S,) sorted proposal indices the box heads ran on
+    cls_logits: Tensor  # (S, n_classes + 1), one per entry of head_rows
+    box_deltas: Tensor  # (S, 4), one per entry of head_rows
     mask_logits: Tensor  # (M, n_classes, roi, roi), one per entry of mask_rows
     mask_rows: np.ndarray  # (M,) sorted proposal indices the mask head ran on
     detections: list[Detection] | None = None  # infer mode only
     targets: list[TargetBox] | None = None  # train mode only
-    head: AssignResult | None = None  # train mode only: proposals against targets
+    # train mode only: the anchors and the proposals against the targets, and
+    # the sampled anchor rows of the RPN loss (head_rows is the proposal sample)
+    rpn: AssignResult | None = None
+    rpn_rows: np.ndarray | None = None
+    head: AssignResult | None = None
 
 
 ROI_SAMPLING = 2  # bilinear sample points per output cell along each axis
@@ -220,11 +229,18 @@ class DetectorModel:
         )
 
     def _backbone(self, x: Tensor, prefix: str) -> Tensor:
-        """Four 3x3 conv + ReLU layers with a 2x2 max-pool between each pair."""
-        for i in range(len(self.config.channels)):
-            if i:
-                x = ad.maxpool2d(x, 2, 2)
-            x = ad.relu(ad.conv2d(x, self.params[f"{prefix}_{i}"], stride=1, pad=1))
+        """Four 3x3 convs: conv -> 2x2 max-pool -> ReLU three times, then
+        conv -> ReLU.
+
+        Pooling first gives conv -> ReLU -> pool's values and gradients bit
+        for bit, with the ReLU on a quarter of the elements: max and ReLU
+        commute, and the pool routes a window's gradient to the same tap or,
+        where the window's max is <= 0, routes a zero.
+        """
+        last = len(self.config.channels) - 1
+        for i in range(last + 1):
+            x = ad.conv2d(x, self.params[f"{prefix}_{i}"], stride=1, pad=1)
+            x = ad.relu(x if i == last else ad.maxpool2d(x, 2, 2))
         return x
 
     def _as_grid_tensor(self, grid) -> Tensor:
@@ -255,17 +271,23 @@ class DetectorModel:
         return ad.elementwise_combine(f_img, f_fix, cfg.fusion_mode)
 
     def forward(self, image, fmap=None, mode: str = "infer",
-                targets: list[TargetBox] | None = None) -> DetectorOutput:
+                targets: list[TargetBox] | None = None,
+                rng: np.random.Generator | None = None) -> DetectorOutput:
         """Run the full pipeline.
 
         In train mode the boxes of ``targets`` (none if not given) are
-        appended to the RPN proposals so the heads always see positives, the
-        proposals are assigned to the targets once, and the mask head runs
-        on the head positives; in infer mode it runs on the kept detections,
-        and the Detection list is attached.
+        appended to the RPN proposals so the heads always see positives.
+        The anchors and the proposals are assigned to the targets, and
+        ``rng`` draws the RPN's anchor sample, then the proposal sample.
+        The box heads run on the sampled proposals and the mask head on the
+        sampled positives. In infer mode the box heads run on every proposal
+        and the mask head on the kept detections, and the Detection list is
+        attached.
         """
         if mode not in ("train", "infer"):
             raise ValueError(f"unknown mode {mode!r}")
+        if mode == "train" and rng is None:
+            raise ValueError("train mode needs the step's generator (rng) to sample the loss rows")
         cfg = self.config
         feat = self.fuse(image, fmap)
         fh, fw = feat.data.shape[2], feat.data.shape[3]
@@ -284,28 +306,36 @@ class DetectorModel:
         if mode == "train":
             targets = targets or []
             proposals = np.concatenate([proposals, _gt_boxes(targets)])
+            head = assign_targets(proposals, targets, cfg.head_fg_thresh, cfg.head_bg_thresh,
+                                  force_best=False)
+            rpn = assign_targets(self.anchors, targets, cfg.rpn_fg_thresh, cfg.rpn_bg_thresh,
+                                 force_best=True)
+            rpn_rows = _sample_balanced(rpn.labels, cfg.rpn_batch, 0.5, rng)
+            head_rows = _sample_balanced(head.labels, cfg.proposals_per_step,
+                                         cfg.pos_fraction, rng)
+        else:
+            head_rows = np.arange(len(proposals))
 
-        pooled = roi_align(feat, proposals, cfg.feat_stride, cfg.roi_size)
+        rois = proposals[head_rows]
+        pooled = roi_align(feat, rois, cfg.feat_stride, cfg.roi_size)
         flat = ad.flatten(pooled)
         h1 = ad.relu(ad.linear(flat, self.params["fc1"]))
         cls_logits = ad.linear(h1, self.params["cls"])
         box_deltas = ad.linear(h1, self.params["box"])
         if mode == "train":
-            head = assign_targets(proposals, targets, cfg.head_fg_thresh, cfg.head_bg_thresh,
-                                  force_best=False)
-            mask_rows = np.flatnonzero(head.labels == 1)
+            mask_at = np.flatnonzero(head.labels[head_rows] == 1)
         else:
-            rows, classes, boxes, probs = self._pick_detections(proposals, cls_logits.data,
+            rows, classes, boxes, probs = self._pick_detections(rois, cls_logits.data,
                                                                 box_deltas.data)
-            mask_rows, at = np.unique(rows, return_inverse=True)
-        m = ad.relu(ad.conv2d(ad.gather_rows(pooled, mask_rows), self.params["mask_conv"],
+            mask_at, at = np.unique(rows, return_inverse=True)
+        m = ad.relu(ad.conv2d(ad.gather_rows(pooled, mask_at), self.params["mask_conv"],
                               stride=1, pad=1))
         mask_logits = ad.conv2d(m, self.params["mask_out"])
 
-        out = DetectorOutput(self.anchors, rpn_obj, rpn_deltas, proposals,
-                             cls_logits, box_deltas, mask_logits, mask_rows)
+        out = DetectorOutput(self.anchors, rpn_obj, rpn_deltas, proposals, head_rows,
+                             cls_logits, box_deltas, mask_logits, head_rows[mask_at])
         if mode == "train":
-            out.targets, out.head = targets, head
+            out.targets, out.rpn, out.rpn_rows, out.head = targets, rpn, rpn_rows, head
         else:
             # one array of just the kept masks: each Detection holds a row of it
             masks = ad._stable_sigmoid(mask_logits.data[at, classes - 1])
@@ -411,40 +441,35 @@ def _mask_targets(masks: np.ndarray, rois: np.ndarray, gt_idx: np.ndarray,
     return masks[gt_idx[:, None, None], yi[:, :, None], xi[:, None, :]].astype(np.float64)
 
 
-def compute_loss(out: DetectorOutput, config: ModelConfig,
-                 rng: np.random.Generator) -> LossBreakdown:
+def compute_loss(out: DetectorOutput, config: ModelConfig) -> LossBreakdown:
     """Total loss = classification + bbox + mask (exact float sum) of a
-    train-mode output, against its targets; empty terms are 0."""
+    train-mode output, against its targets, on the rows its forward pass
+    sampled; empty terms are 0."""
     targets = out.targets
     gt = _gt_boxes(targets)
     # class index + 1 per target; the trailing 0 is what matched == -1 picks
     cls_of = np.array([int(t.label) + 1 for t in targets] + [0], dtype=np.int64)
 
-    # RPN objectness + regression on anchors
-    rpn_assign = assign_targets(out.anchors, targets, config.rpn_fg_thresh,
-                                config.rpn_bg_thresh, force_best=True)
-    samp = _sample_balanced(rpn_assign.labels, config.rpn_batch, 0.5, rng)
+    # RPN objectness on the sampled anchors, regression on every positive one
+    rpn, samp = out.rpn, out.rpn_rows
     rpn_cls = ad.bce_with_logits(
-        ad.gather_rows(out.rpn_obj, samp), rpn_assign.labels[samp].astype(np.float64)
+        ad.gather_rows(out.rpn_obj, samp), rpn.labels[samp].astype(np.float64)
     )
-    pos_a = np.flatnonzero(rpn_assign.labels == 1)
-    reg_t = bx.encode_boxes(out.anchors[pos_a], gt[rpn_assign.matched[pos_a]])
+    pos_a = np.flatnonzero(rpn.labels == 1)
+    reg_t = bx.encode_boxes(out.anchors[pos_a], gt[rpn.matched[pos_a]])
     rpn_box = ad.smooth_l1(ad.gather_rows(out.rpn_deltas, pos_a), reg_t)
 
-    # head terms over sampled proposals
-    hsamp = _sample_balanced(out.head.labels, config.proposals_per_step,
-                             config.pos_fraction, rng)
-    matched = out.head.matched[hsamp]
-    head_ce = ad.softmax_cross_entropy(ad.gather_rows(out.cls_logits, hsamp), cls_of[matched])
+    # head terms: the heads ran on the sampled proposals, the mask head on
+    # their positives, which are the mask rows in order
+    matched = out.head.matched[out.head_rows]
+    head_ce = ad.softmax_cross_entropy(out.cls_logits, cls_of[matched])
     is_pos = matched >= 0
-    pos_p, pos_gt = hsamp[is_pos], matched[is_pos]
+    pos_p, pos_gt = out.mask_rows, matched[is_pos]
     reg_t = bx.encode_boxes(out.proposals[pos_p], gt[pos_gt])
-    head_box = ad.smooth_l1(ad.gather_rows(out.box_deltas, pos_p), reg_t)
+    head_box = ad.smooth_l1(ad.gather_rows(out.box_deltas, np.flatnonzero(is_pos)), reg_t)
     masks = np.array([t.mask for t in targets]).reshape(-1, config.img_size, config.img_size)
     mt = _mask_targets(masks, out.proposals[pos_p], pos_gt, config.roi_size)
-    # every head positive is a mask row, so this is each sampled positive's entry
-    at = np.searchsorted(out.mask_rows, pos_p)
-    sel = ad.take_channel_per_row(ad.gather_rows(out.mask_logits, at), cls_of[pos_gt] - 1)
+    sel = ad.take_channel_per_row(out.mask_logits, cls_of[pos_gt] - 1)
     mask_loss = ad.bce_with_logits(sel, mt)
 
     cls_t = rpn_cls + head_ce
@@ -463,8 +488,8 @@ def _gt_boxes(targets: list[TargetBox]) -> np.ndarray:
 def train_loss(model: DetectorModel, image, fmap, targets: list[TargetBox],
                rng: np.random.Generator) -> LossBreakdown:
     """The training loss recipe: train-mode forward pass against the targets,
-    then ``compute_loss``."""
-    return compute_loss(model.forward(image, fmap, "train", targets), model.config, rng)
+    which draws the loss rows from ``rng``, then ``compute_loss``."""
+    return compute_loss(model.forward(image, fmap, "train", targets, rng), model.config)
 
 
 # ---------------------------------------------------------------------------

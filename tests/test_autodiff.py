@@ -299,6 +299,18 @@ class TestSgdStep:
             self._step(p, lr=0.1)
         assert p.weights.data[0, 0] == 1.0
 
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    def test_non_finite_update_names_layer_and_tensor(self, part):
+        params = {"conv": layer_params(np.ones((1, 1, 1, 1)), np.zeros(1)),
+                  "fc1": layer_params(np.ones((2, 3)), np.zeros(2))}
+        velocities = {n: tuple(np.zeros_like(t.data) for t in p.tensors())
+                      for n, p in params.items()}
+        t = getattr(params["fc1"], part)
+        t.grad = np.full(t.data.shape, 1e308)
+        with np.errstate(over="ignore"), pytest.raises(NumericsError) as info:
+            ad.sgd_step(params, velocities, lr=-1e10)
+        assert str(info.value) == f"non-finite values in sgd_step update of layer 'fc1' {part}"
+
     def test_grads_zeroed_after_step(self):
         p = self._param([[1.0]])
         p.weights.grad = np.array([[1.0]])
@@ -407,6 +419,36 @@ class TestMaxpoolReference:
         ref_y, ref_dx = maxpool_reference(x, g, 3, stride)
         assert np.array_equal(y, ref_y)
         np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
+
+
+class TestReluAfterPool:
+    """relu(maxpool2d(x)) is maxpool2d(relu(x)) bit for bit, and so is the
+    gradient each gives x: max commutes with ReLU, the pool routes a window
+    with a positive max to the same first tap in both orders, and a window
+    whose max is <= 0 gets a zero gradient in both."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bitwise_both_orders(self, data):
+        h, w = data.draw(st.integers(2, 7)), data.draw(st.integers(2, 7))
+        n, c = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+        # integer grid values: many ties, all-negative windows, both zeros
+        grid = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+        x = np.array(data.draw(st.lists(grid, min_size=n * c * h * w, max_size=n * c * h * w)))
+        x = x.reshape(n, c, h, w)
+        g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
+            size=(n, c, h // 2, w // 2))
+
+        def run(op):
+            t = Tensor(x, requires_grad=True)
+            y = op(t)
+            ad.tensor_sum(ad.elementwise_combine(y, Tensor(g), "mul")).backward()
+            return y.data, t.grad
+
+        y, dx = run(lambda t: ad.relu(ad.maxpool2d(t, 2, 2)))
+        ref_y, ref_dx = run(lambda t: ad.maxpool2d(ad.relu(t), 2, 2))
+        assert y.tobytes() == ref_y.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
 
 
 def small_graph(x, p):

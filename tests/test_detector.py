@@ -250,12 +250,12 @@ class TestComputeLoss:
         targets = one_target()
         gt = np.stack([t.xyxy for t in targets])
         image = np.random.default_rng(seed).uniform(size=(64, 64))
-        out = model.forward(image, mode="train", targets=targets)
+        out = model.forward(image, mode="train", targets=targets, rng=np.random.default_rng(0))
         return cfg, out, targets, gt
 
     def test_total_is_exact_component_sum(self):
         cfg, out, targets, _ = self._train_output()
-        loss = dt.compute_loss(out, cfg, np.random.default_rng(0))
+        loss = dt.compute_loss(out, cfg)
         assert loss.total == loss.classification + loss.bbox + loss.mask
         assert abs(loss.tensor.item() - loss.total) < 1e-12
         assert min(loss.classification, loss.bbox, loss.mask) >= 0.0
@@ -269,16 +269,18 @@ class TestComputeLoss:
             out.anchors[pos], gt[rpn_assign.matched[pos]])
         head_assign = dt.assign_targets(out.proposals, targets, cfg.head_fg_thresh,
                                         cfg.head_bg_thresh, force_best=False)
-        hpos = np.flatnonzero(head_assign.labels == 1)
-        out.box_deltas.data[hpos] = bx.encode_boxes(
+        # the box head's rows are the sampled proposals: set every positive one
+        at = np.flatnonzero(head_assign.labels[out.head_rows] == 1)
+        hpos = out.head_rows[at]
+        out.box_deltas.data[at] = bx.encode_boxes(
             out.proposals[hpos], gt[head_assign.matched[hpos]])
-        loss = dt.compute_loss(out, cfg, np.random.default_rng(0))
+        loss = dt.compute_loss(out, cfg)
         assert loss.bbox == 0.0
 
     def test_uniform_mask_logits_give_ln2(self):
         cfg, out, targets, _ = self._train_output()
         out.mask_logits.data[:] = 0.0
-        loss = dt.compute_loss(out, cfg, np.random.default_rng(0))
+        loss = dt.compute_loss(out, cfg)
         assert np.isclose(loss.mask, np.log(2.0), atol=1e-12)
 
     def test_smooth_l1_piecewise_values(self):
@@ -291,8 +293,8 @@ class TestComputeLoss:
         cfg = small_config()
         model = DetectorModel(cfg)
         image = np.random.default_rng(10).uniform(size=(64, 64))
-        out = model.forward(image, mode="train")
-        loss = dt.compute_loss(out, cfg, np.random.default_rng(0))
+        out = model.forward(image, mode="train", rng=np.random.default_rng(0))
+        loss = dt.compute_loss(out, cfg)
         assert loss.bbox == 0.0 and loss.mask == 0.0
         assert loss.classification > 0.0
 
@@ -610,17 +612,70 @@ def random_targets(rng, img=64):
     return targets
 
 
-def all_rows_mask_logits(model, image, proposals):
-    """Reference: the mask head over every proposal row, as one batch."""
+def all_rows_heads(model, image, proposals, fmap=None):
+    """Reference: the box and mask heads over every proposal row, as one
+    batch: (cls_logits, box_deltas, mask_logits)."""
     cfg = model.config
-    pooled = dt.roi_align(model.fuse(image, None), proposals, cfg.feat_stride, cfg.roi_size)
+    pooled = dt.roi_align(model.fuse(image, fmap), proposals, cfg.feat_stride, cfg.roi_size)
+    h1 = ad.relu(ad.linear(ad.flatten(pooled), model.params["fc1"]))
     m = ad.relu(ad.conv2d(pooled, model.params["mask_conv"], stride=1, pad=1))
-    return ad.conv2d(m, model.params["mask_out"])
+    return (ad.linear(h1, model.params["cls"]), ad.linear(h1, model.params["box"]),
+            ad.conv2d(m, model.params["mask_out"]))
+
+
+def all_rows_loss(model, image, fmap, targets, rng):
+    """Reference: the train step with the heads on every proposal, then the
+    loss draws the RPN anchor sample and the proposal sample from ``rng``, in
+    that order, and gathers their rows.
+
+    Returns the (classification, bbox, mask) loss tensors and the two draws.
+    """
+    cfg = model.config
+    # the RPN outputs and the proposals; this forward pass's own draws are unused
+    out = model.forward(image, fmap, "train", targets, np.random.default_rng(0))
+    cls_logits, box_deltas, mask_logits = all_rows_heads(model, image, out.proposals, fmap)
+    gt = np.array([t.xyxy for t in targets]).reshape(-1, 4)
+    cls_of = np.array([int(t.label) + 1 for t in targets] + [0])
+
+    rpn = dt.assign_targets(out.anchors, targets, cfg.rpn_fg_thresh, cfg.rpn_bg_thresh,
+                            force_best=True)
+    samp = dt._sample_balanced(rpn.labels, cfg.rpn_batch, 0.5, rng)
+    rpn_cls = ad.bce_with_logits(ad.gather_rows(out.rpn_obj, samp),
+                                 rpn.labels[samp].astype(np.float64))
+    pos_a = np.flatnonzero(rpn.labels == 1)
+    rpn_box = ad.smooth_l1(ad.gather_rows(out.rpn_deltas, pos_a),
+                           bx.encode_boxes(out.anchors[pos_a], gt[rpn.matched[pos_a]]))
+
+    head = dt.assign_targets(out.proposals, targets, cfg.head_fg_thresh, cfg.head_bg_thresh,
+                             force_best=False)
+    hsamp = dt._sample_balanced(head.labels, cfg.proposals_per_step, cfg.pos_fraction, rng)
+    matched = head.matched[hsamp]
+    head_ce = ad.softmax_cross_entropy(ad.gather_rows(cls_logits, hsamp), cls_of[matched])
+    pos_p, pos_gt = hsamp[matched >= 0], matched[matched >= 0]
+    head_box = ad.smooth_l1(ad.gather_rows(box_deltas, pos_p),
+                            bx.encode_boxes(out.proposals[pos_p], gt[pos_gt]))
+    masks = np.array([t.mask for t in targets]).reshape(-1, cfg.img_size, cfg.img_size)
+    mt = dt._mask_targets(masks, out.proposals[pos_p], pos_gt, cfg.roi_size)
+    sel = ad.take_channel_per_row(ad.gather_rows(mask_logits, pos_p), cls_of[pos_gt] - 1)
+    terms = (rpn_cls + head_ce, rpn_box + head_box, ad.bce_with_logits(sel, mt))
+    return terms, samp, hsamp
+
+
+def zeroed_grads(model):
+    for p in model.params.values():
+        for t in p.tensors():
+            t.zero_grad()
+
+
+def param_grads(model):
+    """Every parameter tensor's gradient by (layer, index); none counts as zeros."""
+    return {(n, k): np.zeros_like(t.data) if t.grad is None else t.grad
+            for n, p in model.params.items() for k, t in enumerate(p.tensors())}
 
 
 class TestMaskRows:
-    """The mask head runs on the rows that are read: the head positives in
-    training, the kept detections' rows in inference."""
+    """The mask head runs on the rows that are read: the sampled head
+    positives in training, the kept detections' rows in inference."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_train_rows_are_the_head_positives(self, seed):
@@ -628,12 +683,23 @@ class TestMaskRows:
         cfg = small_config(seed=seed)
         targets = random_targets(rng)
         image = rng.uniform(size=(64, 64))
-        out = DetectorModel(cfg).forward(image, mode="train", targets=targets)
+        out = DetectorModel(cfg).forward(image, mode="train", targets=targets,
+                                         rng=np.random.default_rng(seed))
         head = dt.assign_targets(out.proposals, targets, cfg.head_fg_thresh,
                                  cfg.head_bg_thresh, force_best=False)
+        rpn = dt.assign_targets(out.anchors, targets, cfg.rpn_fg_thresh, cfg.rpn_bg_thresh)
         assert np.array_equal(out.head.labels, head.labels)
         assert np.array_equal(out.head.matched, head.matched)
-        assert np.array_equal(out.mask_rows, np.flatnonzero(head.labels == 1))
+        assert np.array_equal(out.rpn.labels, rpn.labels)
+        assert np.array_equal(out.rpn.matched, rpn.matched)
+        draws = np.random.default_rng(seed)
+        assert np.array_equal(out.rpn_rows, dt._sample_balanced(rpn.labels, cfg.rpn_batch,
+                                                                0.5, draws))
+        assert np.array_equal(out.head_rows, dt._sample_balanced(
+            head.labels, cfg.proposals_per_step, cfg.pos_fraction, draws))
+        assert np.array_equal(out.mask_rows, out.head_rows[head.labels[out.head_rows] == 1])
+        assert out.cls_logits.data.shape == (len(out.head_rows), cfg.n_classes + 1)
+        assert out.box_deltas.data.shape == (len(out.head_rows), 4)
         assert out.mask_logits.data.shape == (len(out.mask_rows), cfg.n_classes,
                                               cfg.roi_size, cfg.roi_size)
 
@@ -645,20 +711,16 @@ class TestMaskRows:
         image = rng.uniform(size=(64, 64))
         heads = ("mask_conv", "mask_out")
 
-        def mask_loss_and_grads(out):
-            for p in model.params.values():
-                for t in p.tensors():
-                    t.zero_grad()
-            loss = dt.compute_loss(out, model.config, np.random.default_rng(seed))
-            loss.tensor.backward()
-            return loss.mask, [t.grad for n in heads for t in model.params[n].tensors()]
-
-        got, got_grads = mask_loss_and_grads(
-            model.forward(image, mode="train", targets=targets))
-        ref_out = model.forward(image, mode="train", targets=targets)
-        ref_out.mask_logits = all_rows_mask_logits(model, image, ref_out.proposals)
-        ref_out.mask_rows = np.arange(len(ref_out.proposals))
-        ref, ref_grads = mask_loss_and_grads(ref_out)
+        zeroed_grads(model)
+        loss = dt.train_loss(model, image, None, targets, np.random.default_rng(seed))
+        loss.tensor.backward()
+        got, got_grads = loss.mask, [t.grad for n in heads for t in model.params[n].tensors()]
+        zeroed_grads(model)
+        (_, _, ref_mask), _, _ = all_rows_loss(model, image, None, targets,
+                                               np.random.default_rng(seed))
+        ref_mask.backward()
+        ref, ref_grads = ref_mask.item(), [t.grad for n in heads
+                                           for t in model.params[n].tensors()]
         assert ref > 0.0 and abs(got - ref) <= 1e-12
         for g, r in zip(got_grads, ref_grads):
             assert np.abs(r).max() > 0.0
@@ -672,7 +734,7 @@ class TestMaskRows:
         cfg = model.config
         image = np.random.default_rng(200 + seed).uniform(size=(64, 64))
         out = model.forward(image, mode="infer")
-        logits = all_rows_mask_logits(model, image, out.proposals).data
+        logits = all_rows_heads(model, image, out.proposals)[2].data
         z = out.cls_logits.data
         probs = np.exp(z - z.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
@@ -692,6 +754,86 @@ class TestMaskRows:
             assert d.box.tobytes() == r.box.tobytes()
             assert d.label == r.label and d.score == r.score
             np.testing.assert_allclose(d.mask, r.mask, rtol=0.0, atol=1e-12)
+
+
+class TestSampleFirst:
+    """The train step samples its loss rows before the heads: the same loss,
+    gradients and draws as the heads on every proposal followed by the
+    loss's own draws and gathers (``all_rows_loss``)."""
+
+    @pytest.mark.parametrize("seed, kw, annotated", [
+        (0, {}, True), (1, {}, True), (2, {}, True), (3, {}, True), (4, {}, False),
+        (5, {"post_nms_top": 0}, True), (6, {"post_nms_top": 0}, False),
+        (7, {"use_fixations": True, "fusion_point": "feature"}, True),
+    ], ids=["targets_0", "targets_1", "targets_2", "targets_3", "annotation_free",
+            "post_nms_top_0", "post_nms_top_0_annotation_free", "feature_fusion"])
+    def test_matches_all_rows_reference(self, seed, kw, annotated):
+        rng = np.random.default_rng(300 + seed)
+        model = DetectorModel(small_config(seed=seed, **kw))
+        targets = (random_targets(rng) or one_target()) if annotated else []
+        image = rng.uniform(size=(64, 64))
+        fmap = rng.uniform(size=(64, 64)) if model.config.use_fixations else None
+
+        zeroed_grads(model)
+        draws = np.random.default_rng([seed, 9])
+        out = model.forward(image, fmap, "train", targets, draws)
+        loss = dt.compute_loss(out, model.config)
+        loss.tensor.backward()
+        got = param_grads(model)
+
+        zeroed_grads(model)
+        ref_draws = np.random.default_rng([seed, 9])
+        terms, samp, hsamp = all_rows_loss(model, image, fmap, targets, ref_draws)
+        (terms[0] + terms[1] + terms[2]).backward()
+        ref = param_grads(model)
+
+        assert np.array_equal(out.rpn_rows, samp) and np.array_equal(out.head_rows, hsamp)
+        assert draws.bit_generator.state == ref_draws.bit_generator.state
+        for value, term in zip((loss.classification, loss.bbox, loss.mask), terms):
+            assert abs(value - term.item()) <= 1e-12
+        assert got.keys() == ref.keys()
+        for key, g in got.items():
+            np.testing.assert_allclose(g, ref[key], rtol=0.0, atol=1e-12, err_msg=str(key))
+
+    def test_train_mode_needs_a_generator(self):
+        model = DetectorModel(small_config())
+        with pytest.raises(ValueError, match="rng"):
+            model.forward(np.zeros((64, 64)), mode="train", targets=one_target())
+
+
+def old_order_backbone(model, x, prefix):
+    """Reference: the backbone with each ReLU before its pool."""
+    for i in range(len(model.config.channels)):
+        if i:
+            x = ad.maxpool2d(x, 2, 2)
+        x = ad.relu(ad.conv2d(x, model.params[f"{prefix}_{i}"], stride=1, pad=1))
+    return x
+
+
+class TestBackboneOrder:
+    """ReLU after the pool gives the features and every backbone gradient
+    of ReLU before it, bit for bit."""
+
+    @pytest.mark.parametrize("size, seed", [(32, 0), (32, 1), (64, 2), (64, 3)])
+    def test_bitwise_old_order(self, size, seed):
+        model = DetectorModel(ModelConfig(img_size=size, seed=seed))
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.uniform(size=(1, 1, size, size)))
+        names = [f"bb_img_{i}" for i in range(4)]
+
+        def run(backbone):
+            zeroed_grads(model)
+            feat = backbone(x)
+            g = Tensor(np.random.default_rng(seed).normal(size=feat.data.shape))
+            ad.tensor_sum(ad.elementwise_combine(feat, g, "mul")).backward()
+            return feat.data, [t.grad for n in names for t in model.params[n].tensors()]
+
+        feat, grads = run(lambda t: model._backbone(t, "bb_img"))
+        ref_feat, ref_grads = run(lambda t: old_order_backbone(model, t, "bb_img"))
+        assert feat.tobytes() == ref_feat.tobytes()
+        assert (feat == 0.0).any() and (feat > 0.0).any()
+        for g, r in zip(grads, ref_grads):
+            assert g.tobytes() == r.tobytes()
 
 
 class TestLayerShapes:

@@ -125,6 +125,17 @@ class TestDivergence:
         assert rows[0] == "step,epoch,cls,bbox,mask,total"
         assert [row.split(",")[:2] for row in rows[1:]] == [["0", "0"]]
 
+    def test_update_blow_up_names_the_layer(self, tiny_readings, tmp_path):
+        # at this lr step 0's update of the first layer overflows
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as info:
+            tr.train(tiny_model_cfg(), tiny_readings[:4], [], TrainConfig(epochs=1, lr=1e308),
+                     str(tmp_path / "run"))
+        assert isinstance(info.value.__cause__, NumericsError)
+        assert str(info.value) == ("training diverged at step 0: non-finite values in "
+                                   "sgd_step update of layer 'bb_img_0' weights")
+        rows = (tmp_path / "run" / "loss_curve.csv").read_text().splitlines()
+        assert rows == ["step,epoch,cls,bbox,mask,total"]
+
 
 class TestEvaluate:
     def test_checkpoint_round_trip_same_report(self, tiny_readings, tmp_path):

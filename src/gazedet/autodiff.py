@@ -203,21 +203,26 @@ def kaiming(shape: tuple, rng: np.random.Generator) -> LayerParams:
 # primitive ops
 
 
-def _taps(kh: int, kw: int, stride: int, ho: int, wo: int):
-    """Yield (i, j, index) per kernel tap in row-major order; ``a[index]`` is
-    the (..., ho, wo) strided view of what tap (i, j) reads for every output
-    cell of a window sweep over ``a``."""
-    for i in range(kh):
-        for j in range(kw):
-            yield i, j, (..., slice(i, i + ho * stride, stride), slice(j, j + wo * stride, stride))
+def _cols(a: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """(C*kH*kW, N*H'*W') columns of a kH x kW window sweep over NCHW ``a``:
+    row (c, i, j), column (n, y, x) holds ``a[n, c, y*stride + i, x*stride + j]``.
+    One strided view, copied once by the reshape."""
+    n, c = a.shape[:2]
+    sn, sc, sh, sw = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, (c, kh, kw, n, ho, wo), (sc, sh, sw, sn, sh * stride, sw * stride),
+        writeable=False).reshape(c * kh * kw, n * ho * wo)
 
 
 def conv2d(x: Tensor, params: LayerParams, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation over NCHW input; output H' = (H + 2p - kH)//s + 1.
 
-    One GEMM in a (C*kH*kW, N*H'*W') column layout: forward ``W @ cols``,
-    weight gradient ``g @ cols.T``, input gradient ``W.T @ g`` added back
-    tap by tap as contiguous (C, N, H', W') planes.
+    Three GEMMs over ``_cols``: forward ``W @ cols(xp)``, weight gradient
+    ``g @ cols(xp).T``, and the input gradient as a transposed convolution,
+    ``W_flipped^T @ cols(gp)`` (Dumoulin & Visin, arXiv 1603.07285, section 4).
+    ``gp`` is ``g`` written every ``stride`` cells, from (kH-1, kW-1), into
+    zeros of (N, F, Hp + kH - 1, Wp + kW - 1); its stride-1 sweep starts at
+    (p, p) and covers only the H x W input cells, so nothing is cropped.
     """
     if stride < 1 or pad < 0:
         raise ShapeError(f"invalid stride/pad ({stride}, {pad})")
@@ -226,38 +231,30 @@ def conv2d(x: Tensor, params: LayerParams, stride: int = 1, pad: int = 0) -> Ten
     f, c_w, kh, kw = w.data.shape
     if c != c_w:
         raise ShapeError(f"conv2d channel mismatch: input {x.data.shape} vs weights {w.data.shape}")
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wid + 2 * pad - kw) // stride + 1
+    hp, wp = h + 2 * pad, wid + 2 * pad
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv2d kernel {w.data.shape} larger than padded input {x.data.shape}")
 
     if pad:
-        xp = np.zeros((n, c, h + 2 * pad, wid + 2 * pad))
+        xp = np.zeros((n, c, hp, wp))
         xp[:, :, pad : pad + h, pad : pad + wid] = x.data
     else:
         xp = x.data
-    k, nl = c * kh * kw, n * ho * wo
-    sn, sc, sh, sw = xp.strides
-    # rows (c, i, j), columns (n, y, x): one strided view, copied once by the reshape
-    cols = np.lib.stride_tricks.as_strided(
-        xp, (c, kh, kw, n, ho, wo), (sc, sh, sw, sn, sh * stride, sw * stride),
-        writeable=False).reshape(k, nl)
-    wmat = w.data.reshape(f, k)
-    y = wmat @ cols  # (f, n*ho*wo)
+    cols = _cols(xp, kh, kw, stride, ho, wo)
+    y = w.data.reshape(f, -1) @ cols  # (f, n*ho*wo)
     y += b.data[:, None]
 
-    def g_mat(g):
-        return g.transpose(1, 0, 2, 3).reshape(f, nl)
-
     def dx(g):
-        dcols = (wmat.T @ g_mat(g)).reshape(c, kh, kw, n, ho, wo)
-        dxp = np.zeros((c, n, h + 2 * pad, wid + 2 * pad))
-        for i, j, tap in _taps(kh, kw, stride, ho, wo):
-            dxp[tap] += dcols[:, i, j]
-        return dxp[:, :, pad : pad + h, pad : pad + wid].transpose(1, 0, 2, 3)
+        gp = np.zeros((n, f, hp + kh - 1, wp + kw - 1))
+        gp[:, :, kh - 1 : hp : stride, kw - 1 : wp : stride] = g
+        w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        dx = w_flip @ _cols(gp[:, :, pad:, pad:], kh, kw, 1, h, wid)  # (c, n*h*w)
+        return dx.reshape(c, n, h, wid).transpose(1, 0, 2, 3)
 
     return _node(y.reshape(f, n, ho, wo).transpose(1, 0, 2, 3), (
-        (w, lambda g: (g_mat(g) @ cols.T).reshape(w.data.shape)),
+        (w, lambda g: (g.transpose(1, 0, 2, 3).reshape(f, -1) @ cols.T).reshape(w.data.shape)),
         (b, lambda g: g.sum(axis=(0, 2, 3))),
         (x, dx),
     ), "conv2d output")
@@ -273,12 +270,16 @@ def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
 
     Rows and columns that no full window covers are dropped.
     """
+    if k < 1 or stride < 1:
+        raise ShapeError(f"invalid pool window/stride ({k}, {stride})")
     n, c, h, w = x.data.shape
     if k > h or k > w:
         raise ShapeError(f"pool window {k} larger than input {x.data.shape}")
     ho = (h - k) // stride + 1
     wo = (w - k) // stride + 1
-    taps = [tap for _i, _j, tap in _taps(k, k, stride, ho, wo)]
+    # tap (i, j)'s (..., ho, wo) strided view, taps in row-major window order
+    taps = [(..., slice(i, i + ho * stride, stride), slice(j, j + wo * stride, stride))
+            for i in range(k) for j in range(k)]
     out_data = x.data[taps[0]].copy()
     for tap in taps[1:]:
         np.maximum(out_data, x.data[tap], out=out_data)

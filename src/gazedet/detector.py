@@ -100,6 +100,9 @@ class ModelConfig:
             raise ValueError(f"n_classes must lie in [1, {len(ClassLabel)}], got {self.n_classes!r}")
         if self.post_nms_top < 0:
             raise ValueError(f"post_nms_top must be >= 0, got {self.post_nms_top!r}")
+        # numpy seeds only with non-negative integers; bool is refused too
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
 
     @property
     def n_anchors_per_cell(self) -> int:

@@ -46,6 +46,9 @@ class TrainConfig:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum!r}")
         if not self.log_every >= 1:
             raise ValueError(f"log_every must be >= 1, got {self.log_every!r}")
+        # numpy seeds only with non-negative integers; bool is refused too
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
 
 
 def fixation_map_for(reading: Reading, img_size: int) -> gz.FixationMap:

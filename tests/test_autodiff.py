@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +72,11 @@ class TestMaxpool:
     def test_oversized_window_errors(self):
         with pytest.raises(ShapeError):
             ad.maxpool2d(Tensor(np.zeros((1, 1, 2, 2))), 3, 1)
+
+    @pytest.mark.parametrize("k, stride", [(0, 1), (2, 0), (-1, 2), (2, -1)])
+    def test_invalid_window_errors(self, k, stride):
+        with pytest.raises(ShapeError, match=re.escape(f"invalid pool window/stride ({k}, {stride})")):
+            ad.maxpool2d(Tensor(np.zeros((1, 1, 4, 4))), k, stride)
 
 
 class TestLinear:
@@ -346,11 +353,23 @@ def conv_reference(x, w, b, g, stride, pad):
 class TestConv2dReference:
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("k", [1, 3])
     def test_matches_cell_loop(self, n, stride, pad, k):
+        self._check(n, stride, pad, k, (7, 5))  # non-square
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stride_two_leaves_last_row_and_column(self, n, pad, k):
+        """On 8x6, (size + 2p - k) is odd on both axes in every case, so the
+        stride-2 sweep never reads the last padded row or column."""
+        self._check(n, 2, pad, k, (8, 6))
+
+    @staticmethod
+    def _check(n, stride, pad, k, hw):
         rng = np.random.default_rng([n, stride, pad, k])
-        x = Tensor(rng.normal(size=(n, 2, 7, 5)), requires_grad=True)  # non-square
+        x = Tensor(rng.normal(size=(n, 2, *hw)), requires_grad=True)
         p = layer_params(rng.normal(size=(4, 2, k, k)), rng.normal(size=4))
         out = ad.conv2d(x, p, stride=stride, pad=pad)
         g = rng.normal(size=out.data.shape)

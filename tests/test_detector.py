@@ -348,9 +348,12 @@ class TestModelConfig:
         ({"img_size": 0}, "img_size must be a positive multiple of the stride-8 backbone, got 0"),
         ({"img_size": -8}, "img_size must be a positive multiple of the stride-8 backbone, got -8"),
         ({"img_size": 36}, "img_size must be a positive multiple of the stride-8 backbone, got 36"),
+        ({"seed": -1}, "seed must be an int >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an int >= 0, got 1.5"),
+        ({"seed": True}, "seed must be an int >= 0, got True"),
     ], ids=["score_nan", "score_1_5", "scale_inf", "scale_negative", "scale_zero",
             "n_classes_0", "n_classes_7", "post_nms_top_negative", "img_size_0",
-            "img_size_negative", "img_size_36"])
+            "img_size_negative", "img_size_36", "seed_negative", "seed_float", "seed_bool"])
     def test_rejects_bad_number(self, kw, needle):
         with pytest.raises(ValueError, match=needle):
             ModelConfig(**kw)
@@ -391,6 +394,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=key) as info:
             dt.load_checkpoint(str(path))
         assert str(path) in str(info.value)
+
+    def test_rejects_negative_seed(self, tmp_path):
+        path, payload = saved_payload(tmp_path)
+        payload["config"]["seed"] = -1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError) as info:
+            dt.load_checkpoint(str(path))
+        assert f"{path}: config: seed must be an int >= 0, got -1" in str(info.value)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -43,8 +43,11 @@ class TestTrainConfig:
         ({"momentum": 1.0}, r"momentum must lie in \[0, 1\), got 1.0"),
         ({"momentum": float("nan")}, r"momentum must lie in \[0, 1\), got nan"),
         ({"log_every": 0}, "log_every must be >= 1, got 0"),
+        ({"seed": -1}, "seed must be an int >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an int >= 0, got 1.5"),
+        ({"seed": True}, "seed must be an int >= 0, got True"),
     ], ids=["lr_nan", "lr_inf", "momentum_5", "momentum_negative", "momentum_1",
-            "momentum_nan", "log_every_0"])
+            "momentum_nan", "log_every_0", "seed_negative", "seed_float", "seed_bool"])
     def test_rejects_bad_number(self, kw, needle):
         with pytest.raises(ValueError, match=needle):
             TrainConfig(**kw)
